@@ -18,7 +18,7 @@ BENCH_OUT ?= BENCH_PR10.json
 BENCH_PREV ?= BENCH_PR9.json
 BENCH_COUNT ?= 5
 
-.PHONY: all build vet test test-purego race fuzz bench bench-json bench-guard bench-obs-guard docs test-fault test-obs e2e test-cluster test-storage
+.PHONY: all build vet test test-purego race fuzz bench bench-json bench-guard bench-obs-guard bench-e2e bench-e2e-compare docs test-fault test-obs e2e test-cluster test-storage
 
 all: build vet test
 
@@ -142,3 +142,41 @@ bench-obs-guard:
 		-within 'BenchmarkQueryPathInstrumented:instr-ns/op=BenchmarkQueryPathInstrumented:bare-ns/op' \
 		-within-max 0.05
 	rm -f BENCH_OBS.json
+
+# The end-to-end benchmark (bench/README.md): the real daemon and
+# gateway under all four workloads, seeds 1..E2E_RUNS, written as one
+# record for `bench -compare`. E2E_FLAGS narrows a smoke run, e.g.
+# E2E_FLAGS='-workload sparse-first -seconds 6'.
+E2E_DIR ?= .bench_build/e2e
+OUT ?= $(E2E_DIR)/head.json
+E2E_RUNS ?= 10
+E2E_FLAGS ?=
+bench-e2e:
+	mkdir -p $(dir $(OUT))
+	$(GO) run ./bench -seed 1 -runs $(E2E_RUNS) $(E2E_FLAGS) -out $(OUT)
+
+# Paired comparison against another commit, the way a claimed gain must
+# be measured: BASE is checked out into a git worktree and built from
+# there by its own bench, each seed runs once on either side with the
+# side that goes first alternating (the sandbox's speed drifts over
+# minutes), the per-seed records are merged (jq) and `bench -compare`
+# applies BENCHMARK.json's bounds with BASE as the parent.
+bench-e2e-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-e2e-compare BASE=<ref>" >&2; exit 2; }
+	mkdir -p $(E2E_DIR)
+	rm -f $(E2E_DIR)/base-*.json $(E2E_DIR)/head-*.json
+	git worktree add --detach --force $(E2E_DIR)/base-tree $(BASE)
+	out=$(abspath $(E2E_DIR)); st=0; \
+	for i in $$(seq 1 $(E2E_RUNS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then tree=$$out/base-tree; else tree=.; fi; \
+			(cd $$tree && $(GO) run ./bench -seed $$i -runs 1 $(E2E_FLAGS) -out $$out/$$side-$$i.json) || st=1; \
+		done; \
+	done; \
+	git worktree remove --force $(E2E_DIR)/base-tree; \
+	[ $$st -eq 0 ] || exit $$st; \
+	for side in base head; do \
+		jq -s '.[0] + {runs: (map(.runs) | add)}' $$out/$$side-*.json > $$out/$$side.json || exit 1; \
+	done
+	$(GO) run ./bench -compare $(E2E_DIR)/base.json $(E2E_DIR)/head.json

@@ -92,6 +92,43 @@ func byteCount(n int64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
+// openPrimary builds the server over whatever durable state cfg's
+// -wal-dir and -storage-dir hold (fresh directories start empty) and
+// preloads the warm-start dataset only into a server with no durable
+// history: one that reopened segment files or vectors must not get the
+// dataset a second time, and "recovered but everything was deleted"
+// (live 0, log non-empty) must not resurrect it.
+func openPrimary(cfg server.Config, preload []bitvec.Vector, logger *slog.Logger) (*server.Server, error) {
+	srv, err := server.New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("building server: %w", err)
+	}
+	st := srv.Stats()
+	recovered := st.Total > 0
+	for _, ps := range st.PerShard {
+		if ps.WAL != nil && ps.WAL.LastLSN > 0 {
+			recovered = true
+		}
+	}
+	switch {
+	case recovered:
+		logger.Info("recovered durable state", "wal_dir", cfg.WALDir, "storage_dir", cfg.StorageDir,
+			"live", st.Live, "segments", st.Segments, "wal_records", st.WALRecords, "wal_bytes", byteCount(st.WALBytes))
+	case len(preload) > 0:
+		if _, err := srv.InsertBatch(preload); err != nil {
+			if !server.NotDurableOnly(err) {
+				srv.Close()
+				return nil, fmt.Errorf("preloading: %w", err)
+			}
+			// Applied and journaled; only the fsync is unconfirmed —
+			// the next start would recover the same state anyway.
+			logger.Warn("preload applied but not yet durable", "err", err)
+		}
+		logger.Info("preloaded warm-start dataset", "vectors", len(preload))
+	}
+	return srv, nil
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -237,35 +274,8 @@ func main() {
 		}
 		logger.Info("restored snapshot", "path", *restorePath, "live", srv.Stats().Live)
 	} else {
-		// server.New recovers whatever durable state -wal-dir holds; a
-		// fresh directory starts empty.
-		if srv, err = server.New(cfg); err != nil {
-			fatal("building server", "err", err)
-		}
-		// Preload only a server with no durable history: "recovered but
-		// everything was deleted" (live 0, log non-empty) must not
-		// resurrect the warm-start dataset.
-		st := srv.Stats()
-		recovered := false
-		for _, ps := range st.PerShard {
-			if ps.WAL != nil && ps.WAL.LastLSN > 0 {
-				recovered = true
-				break
-			}
-		}
-		if recovered {
-			logger.Info("recovered from write-ahead log", "wal_dir", *walDir,
-				"live", st.Live, "wal_records", st.WALRecords, "wal_bytes", byteCount(st.WALBytes))
-		} else if len(preload) > 0 {
-			if _, err := srv.InsertBatch(preload); err != nil {
-				if !server.NotDurableOnly(err) {
-					fatal("preloading", "err", err)
-				}
-				// Applied and journaled; only the fsync is unconfirmed —
-				// the next start would recover the same state anyway.
-				logger.Warn("preload applied but not yet durable", "err", err)
-			}
-			logger.Info("preloaded warm-start dataset", "path", *dataPath, "vectors", len(preload))
+		if srv, err = openPrimary(cfg, preload, logger); err != nil {
+			fatal("opening server", "err", err)
 		}
 	}
 	// No deferred Close: both exit paths below close srv explicitly,

@@ -100,9 +100,9 @@ func kernelWords(data []byte) []uint64 {
 // adaptive choice), and early-exit thresholds. Under -tags purego only
 // the portable path runs, proving the same corpus green there.
 func FuzzIntersectKernel(f *testing.F) {
-	f.Add([]byte{}, 0)                            // empty everything
+	f.Add([]byte{}, 0)                                          // empty everything
 	f.Add([]byte{1, 255, 255, 255, 255, 255, 255, 255, 255}, 1) // one full word
-	f.Add(func() []byte { // 20 dense words, alignment 3
+	f.Add(func() []byte {                                       // 20 dense words, alignment 3
 		b := make([]byte, 1+20*8)
 		b[0] = 3
 		for i := range b[1:] {
@@ -197,7 +197,7 @@ func BenchmarkIntersectWords(b *testing.B) {
 		stride    uint32
 		wantDense bool
 	}{
-		{"dense", 8192, 3, true},    // ~384-word contiguous span
+		{"dense", 8192, 3, true},     // ~384-word contiguous span
 		{"sparse", 2048, 777, false}, // one occupied word every ~12
 	} {
 		ps, qw := benchIntersectSet(b, sh.nbits, sh.stride, sh.wantDense)

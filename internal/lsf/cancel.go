@@ -1,6 +1,10 @@
 package lsf
 
-import "context"
+import (
+	"context"
+	"errors"
+	"sync/atomic"
+)
 
 // cancelStride is how many Check calls pass between polls of the
 // context's done channel: the poll is a non-blocking select (tens of
@@ -21,10 +25,16 @@ const cancelStride = 32
 // shared. Once tripped it stays tripped (Err is then non-nil).
 type CancelCheck struct {
 	ctx  context.Context
-	done <-chan struct{}
+	done <-chan struct{} // nil for a stop-only checkpoint: never ready
+	stop *atomic.Bool    // nil without a stop signal
 	left int
 	err  error
 }
+
+// ErrStopped is the Err of a checkpoint tripped by its stop signal
+// rather than its context: the traversal was cut short because its
+// result is no longer needed, not because it ran out of time.
+var ErrStopped = errors.New("lsf: traversal stopped")
 
 // NewCancelCheck returns a checkpoint for ctx, or nil when ctx cannot
 // be canceled (nil ctx, or Done() == nil).
@@ -42,9 +52,22 @@ func NewCancelCheck(ctx context.Context) *CancelCheck {
 	return &CancelCheck{ctx: ctx, done: done, left: 1}
 }
 
-// Check is the checkpoint: it reports whether the context is canceled,
-// polling the done channel every cancelStride calls. Safe on a nil
-// receiver (never canceled).
+// NewStopCheck is NewCancelCheck with a second way to trip: the
+// checkpoint also reports canceled, with ErrStopped, within one stride
+// of stop being set. Unlike a context, the flag is observed on the
+// no-deadline path too, so the checkpoint is non-nil even for
+// context.Background.
+func NewStopCheck(ctx context.Context, stop *atomic.Bool) *CancelCheck {
+	cc := &CancelCheck{ctx: ctx, stop: stop, left: 1}
+	if ctx != nil {
+		cc.done = ctx.Done()
+	}
+	return cc
+}
+
+// Check is the checkpoint: it reports whether the context is canceled
+// (or the stop signal set), polling both every cancelStride calls. Safe
+// on a nil receiver (never canceled).
 func (cc *CancelCheck) Check() bool {
 	if cc == nil {
 		return false
@@ -57,6 +80,10 @@ func (cc *CancelCheck) Check() bool {
 		return false
 	}
 	cc.left = cancelStride
+	if cc.stop != nil && cc.stop.Load() {
+		cc.err = ErrStopped
+		return true
+	}
 	select {
 	case <-cc.done:
 		cc.err = cc.ctx.Err()
@@ -66,9 +93,10 @@ func (cc *CancelCheck) Check() bool {
 	}
 }
 
-// Err returns the context error once a Check has observed cancellation,
-// nil before that (and on a nil receiver). Callers use it after a
-// traversal to distinguish "sink stopped early" from "canceled".
+// Err returns the context error (or ErrStopped) once a Check has
+// observed cancellation, nil before that (and on a nil receiver).
+// Callers use it after a traversal to distinguish "sink stopped early"
+// from "canceled".
 func (cc *CancelCheck) Err() error {
 	if cc == nil {
 		return nil

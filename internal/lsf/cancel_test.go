@@ -3,6 +3,7 @@ package lsf
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"skewsim/internal/bitvec"
@@ -53,6 +54,35 @@ func TestCancelCheckTripsWithinStride(t *testing.T) {
 	// Once tripped, stays tripped on the first call.
 	if !cc.Check() {
 		t.Fatal("tripped checkpoint reported un-canceled")
+	}
+}
+
+// TestStopCheck: a stop flag trips the checkpoint within one stride with
+// ErrStopped — on the no-deadline path too, where NewCancelCheck is nil
+// — and a context that ends first still reports the context's error.
+func TestStopCheck(t *testing.T) {
+	var stop atomic.Bool
+	cc := NewStopCheck(context.Background(), &stop)
+	for i := 0; i < 2*cancelStride; i++ {
+		if cc.Check() {
+			t.Fatalf("tripped before the stop was set (call %d)", i)
+		}
+	}
+	stop.Store(true)
+	for i := 0; !cc.Check(); i++ {
+		if i > cancelStride {
+			t.Fatal("checkpoint did not trip within one stride of the stop")
+		}
+	}
+	if cc.Err() != ErrStopped {
+		t.Fatalf("Err() = %v, want ErrStopped", cc.Err())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var idle atomic.Bool
+	if cc := NewStopCheck(ctx, &idle); !cc.Check() || !errors.Is(cc.Err(), context.Canceled) {
+		t.Fatalf("canceled context with an unset stop: Err() = %v, want context.Canceled", cc.Err())
 	}
 }
 

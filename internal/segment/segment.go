@@ -202,8 +202,9 @@ type SegmentedIndex struct {
 	cfg     Config
 	engines []*lsf.Engine
 
-	mu   sync.RWMutex
-	cond *sync.Cond // signalled on any state change the worker or waiters watch
+	mu         sync.RWMutex
+	cond       *sync.Cond    // signalled on any state change the worker or waiters watch
+	workerDone chan struct{} // closed when the background worker has exited
 
 	mem      *memtable
 	flushing []*memtable
@@ -275,12 +276,13 @@ func New(cfg Config) (*SegmentedIndex, error) {
 		return nil, errors.New("segment: Config.Params must supply at least one repetition engine")
 	}
 	s := &SegmentedIndex{
-		cfg:       cfg,
-		engines:   make([]*lsf.Engine, len(cfg.Params)),
-		mem:       newMemtable(len(cfg.Params)),
-		slotOf:    make(map[int64]int32),
-		segSeq:    1,
-		crashHook: func(string) {},
+		cfg:        cfg,
+		engines:    make([]*lsf.Engine, len(cfg.Params)),
+		mem:        newMemtable(len(cfg.Params)),
+		slotOf:     make(map[int64]int32),
+		segSeq:     1,
+		crashHook:  func(string) {},
+		workerDone: make(chan struct{}),
 	}
 	for r, p := range cfg.Params {
 		eng, err := lsf.NewEngine(cfg.N, p)
@@ -294,7 +296,9 @@ func New(cfg Config) (*SegmentedIndex, error) {
 	return s, nil
 }
 
-// Close stops the background worker and, when a WAL is attached, syncs
+// Close stops the background worker — waiting for the freeze or
+// compaction it is in the middle of, so nothing lands in the storage
+// directory after Close returns — and, when a WAL is attached, syncs
 // and closes it. The index stays queryable but no further freezes or
 // compactions run, and — with a WAL — further Insert/Delete calls fail
 // rather than accept writes that can no longer be logged. Safe to call
@@ -305,6 +309,7 @@ func (s *SegmentedIndex) Close() {
 	w := s.wal
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	<-s.workerDone
 	if w != nil {
 		w.Close()
 	}
@@ -730,12 +735,20 @@ func (s *SegmentedIndex) QueryWith(ses *verify.Session, threshold float64) (Matc
 // must be treated as incomplete. A nil or never-canceled ctx costs one
 // nil compare per checkpoint.
 func (s *SegmentedIndex) QueryWithContext(ctx context.Context, ses *verify.Session, threshold float64) (Match, QueryStats, bool, error) {
+	return s.QueryWithCheck(lsf.NewCancelCheck(ctx), ses, threshold)
+}
+
+// QueryWithCheck is QueryWithContext over a caller-built checkpoint, so
+// the shard router can cut the traversal short with a stop signal as
+// well as a deadline (lsf.NewStopCheck); the error is then
+// lsf.ErrStopped and nothing was found before the stop.
+func (s *SegmentedIndex) QueryWithCheck(cc *lsf.CancelCheck, ses *verify.Session, threshold float64) (Match, QueryStats, bool, error) {
 	var (
 		stats QueryStats
 		match Match
 		found bool
 	)
-	err := s.forEach(ses.Query(), &stats, lsf.NewCancelCheck(ctx), func(slot int32) bool {
+	err := s.forEach(ses.Query(), &stats, cc, func(slot int32) bool {
 		if sim, ok := ses.AtLeast(&s.packed, s.vecs, slot, threshold); ok {
 			match = Match{ID: s.ext[slot], Similarity: sim}
 			found = true
@@ -867,6 +880,7 @@ func (s *SegmentedIndex) Data() []bitvec.Vector {
 // index, woken by rotations and Close. Heavy work (building CSR arenas,
 // merging segments) runs outside the lock; installs are brief writes.
 func (s *SegmentedIndex) worker() {
+	defer close(s.workerDone)
 	s.mu.Lock()
 	for {
 		// The worker pauses during WAL recovery: a memtable frozen

@@ -141,7 +141,7 @@ func TestStorageDifferential(t *testing.T) {
 				name   string
 				budget int64
 			}{
-				{"cold-mmap", 1},    // everything demoted: zero-copy serving
+				{"cold-mmap", 1},     // everything demoted: zero-copy serving
 				{"resident-heap", 0}, // everything promoted: heap decode
 			} {
 				t.Run(tier.name, func(t *testing.T) {

@@ -10,7 +10,9 @@ import (
 // BenchmarkShardFanout measures query fan-out cost across shard counts
 // over a fixed corpus: the per-query price of partitioning (each shard
 // recomputes F(q)) against the smaller per-shard candidate sets and the
-// parallel walk.
+// parallel walk. The mode=first runs are the thin-query side: planted
+// queries over the sparse-first shape, where the first hit stops the
+// other shards — filters/op is the work the fan-out did not skip.
 func BenchmarkShardFanout(b *testing.B) {
 	const n = 4096
 	data := testData(n)
@@ -35,6 +37,21 @@ func BenchmarkShardFanout(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				srv.QueryBest(qs[i%len(qs)], m)
 			}
+		})
+	}
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("mode=first/shards=%d", shards), func(b *testing.B) {
+			cfg, cw, thr := plantedWorkload(b, 5000, 1000, shards, 1)
+			srv := loadFrozen(b, cfg, cw.Data)
+			m := bitvec.BraunBlanquetMeasure
+			filters := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, stats, _ := srv.Query(cw.Queries[i%len(cw.Queries)], thr, m)
+				filters += stats.Filters
+			}
+			b.ReportMetric(float64(filters)/float64(b.N), "filters/op")
 		})
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"skewsim/internal/bitvec"
 	"skewsim/internal/faultinject"
+	"skewsim/internal/lsf"
 	"skewsim/internal/segment"
 	"skewsim/internal/verify"
 )
@@ -16,17 +16,13 @@ import (
 // Deadline-aware query fan-out. The *Context query methods thread the
 // caller's context through admission (a queue-full or expired wait
 // rejects before any work), into every shard's traversal (cooperative
-// cancellation checkpoints release the shard read lock within one
-// posting walk), and into the aggregation (a shard that misses the
-// deadline is abandoned, not awaited). Degradation is graceful: the
-// merged answer from the shards that did answer is returned with the
-// fan-out marked partial, so a single stalled shard degrades result
-// completeness instead of availability.
+// cancellation checkpoints) and into the aggregation (fanOut): a single
+// stalled shard degrades result completeness instead of availability.
 
 // ShardError reports one shard's failure within a fan-out, including
-// where the shard was when it failed: "running" when its goroutine had
+// where the shard was when it failed: "running" when a goroutine had
 // started the traversal (or returned an error from it), "queued" when
-// the deadline expired before any worker picked the shard up. The
+// the deadline expired before any goroutine started the shard. The
 // distinction separates a slow shard (running) from a starved worker
 // pool (queued) when diagnosing partial results.
 type ShardError struct {
@@ -48,17 +44,15 @@ const (
 type Fanout struct {
 	// Shards is the fan-out width (the server's shard count).
 	Shards int
-	// Answered counts shards whose results are merged into the answer.
+	// Answered counts shards whose results are merged into the answer,
+	// including the shards a mode-first query cut short or skipped
+	// because a sibling had already found a match.
 	Answered int
 	// Errs details the failed shards, ascending by shard.
 	Errs []ShardError
 
-	ok       []bool
 	firstErr error
 }
-
-// OK reports whether shard i's results are part of the merged answer.
-func (f *Fanout) OK(i int) bool { return f.ok[i] }
 
 // Complete reports whether every shard answered.
 func (f *Fanout) Complete() bool { return f.Answered == f.Shards }
@@ -96,214 +90,302 @@ func (s *Server) rejected(err error) *Fanout {
 			m.RejectedShed.Inc()
 		}
 	}
-	return &Fanout{Shards: len(s.shards), ok: make([]bool, len(s.shards)), firstErr: err}
+	return &Fanout{Shards: len(s.shards), firstErr: err}
 }
 
-// fanOut runs work(i) for every shard on the bounded worker pool and
-// aggregates per-shard success. If ctx expires mid-flight the
-// un-reported shards are marked failed and the call returns without
-// awaiting them; a reaper goroutine drains the stragglers and only then
-// runs cleanup, so shared state (the pooled verify session, the
-// admission slot) stays live for exactly as long as any shard goroutine
-// can touch it. Callers must read result slots only for shards with
-// f.OK(i) — the report channel orders those writes before this return,
-// while an abandoned shard may still be writing its slot.
-func (s *Server) fanOut(ctx context.Context, work func(i int) error, cleanup func()) *Fanout {
-	n := len(s.shards)
-	f := &Fanout{Shards: n, ok: make([]bool, n)}
-	type report struct {
-		i   int
-		err error
+// Shard states within one fan-out. A shard is claimed off the run's
+// counter while still shardQueued; the goroutine that claimed it moves
+// it to exactly one of the later states.
+const (
+	shardQueued   int32 = iota
+	shardRunning        // traversal started, not yet returned
+	shardAnswered       // results in the slot
+	shardStopped        // answered: nothing found before a sibling's match
+	shardFailed         // err in the slot, from the traversal
+	shardExpired        // err in the slot: the deadline passed before it started
+)
+
+// shardSlot is one shard's share of a fanRun. The goroutine that claims
+// the shard writes the result fields and then publishes state; the
+// caller reads them only after loading a final state, and owns merged.
+type shardSlot struct {
+	state  atomic.Int32
+	merged bool // set by the caller: the slot is part of the answer
+	err    error
+	match  segment.Match
+	found  bool
+	stats  segment.QueryStats
+	list   []segment.Match       // top-k
+	batch  []segment.BatchResult // batch
+}
+
+// shardWork runs one shard of r into its slot, sl.err included.
+type shardWork func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex)
+
+// abandoned is added to fanRun.pending when the caller leaves at its
+// deadline with helper-run shards outstanding: the helper whose decrement
+// then reads exactly abandoned finished the last and inherits the release.
+const abandoned = 1 << 30
+
+// fanRun is one request's fan-out: the request, the claim counter the
+// caller and its helpers share, and a result slot per shard. Runs are
+// pooled per server and recycled only when the last goroutine holding
+// one lets go (refs), so an abandoned helper never sees its run reused.
+type fanRun struct {
+	s          *Server
+	ctx        context.Context
+	work       shardWork
+	sess       []*verify.Session // one per query
+	threshold  float64
+	thresholds []float64
+	k          int
+
+	next    atomic.Int32  // next unclaimed shard
+	pending atomic.Int32  // unfinished shards (+ abandoned once the caller left)
+	refs    atomic.Int32  // the caller plus its helpers
+	stop    atomic.Bool   // mode first: some shard found a match
+	wake    chan struct{} // cap 1: a helper finished the last shard
+	slots   []shardSlot
+}
+
+// begin admits a request and hands it a run holding one verify session
+// per query, or reports the rejection.
+func (s *Server) begin(ctx context.Context, m bitvec.Measure, qs ...bitvec.Vector) (*fanRun, *Fanout) {
+	if err := s.gate.acquire(ctx); err != nil {
+		return nil, s.rejected(err)
 	}
-	ch := make(chan report, n)
-	var idx atomic.Int64
-	started := make([]atomic.Bool, n)
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	r, _ := s.runs.Get().(*fanRun)
+	if r == nil {
+		r = &fanRun{s: s, wake: make(chan struct{}, 1), slots: make([]shardSlot, len(s.shards))}
 	}
-	if workers > n {
-		workers = n
+	r.ctx = ctx
+	for _, q := range qs {
+		r.sess = append(r.sess, verify.Acquire(m, q))
 	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				i := int(idx.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				started[i].Store(true)
-				// The stall point lets the fault harness hold a shard's
-				// goroutine exactly where a slow disk or a lock convoy
-				// would.
-				err := faultinject.Fire(faultinject.ServerShardStall, ctx, i)
-				if err == nil {
-					err = work(i)
-				}
-				ch <- report{i, err}
-			}
-		}()
+	return r, nil
+}
+
+// unref drops one goroutine's hold; the last one out clears the run
+// (it must not pin the request's memory) and recycles it.
+func (r *fanRun) unref() {
+	if r.refs.Add(-1) != 0 {
+		return
 	}
-	reported := make([]bool, n)
-	done := ctx.Done()
-	for got := 0; got < n; {
-		select {
-		case r := <-ch:
-			reported[r.i] = true
-			got++
-			if r.err == nil {
-				f.ok[r.i] = true
-				f.Answered++
-			} else {
-				f.fail(r.i, r.err, StageRunning)
-			}
-		case <-done:
-			err := ctx.Err()
-			for i := 0; i < n; i++ {
-				if !reported[i] {
-					// A shard whose goroutine never started was still
-					// waiting for a pool worker; one that started is a
-					// straggler the reaper will drain.
-					stage := StageQueued
-					if started[i].Load() {
-						stage = StageRunning
-					}
-					f.fail(i, err, stage)
-				}
-			}
-			remaining := n - got
-			go func() {
-				for j := 0; j < remaining; j++ {
-					<-ch
-				}
-				cleanup()
-			}()
-			sortShardErrs(f.Errs)
-			if m := s.metrics; m != nil {
-				m.AbandonedShards.Add(int64(remaining))
-				if f.Partial() {
-					m.PartialFanouts.Inc()
-				}
-			}
-			return f
+	select {
+	case <-r.wake: // sent after the caller had already seen pending == 0
+	default:
+	}
+	for i := range r.slots {
+		sl := &r.slots[i]
+		sl.state.Store(shardQueued)
+		sl.merged, sl.err, sl.found, sl.stats, sl.list, sl.batch = false, nil, false, segment.QueryStats{}, nil, nil
+	}
+	clear(r.sess)
+	r.ctx, r.work, r.thresholds, r.sess = nil, nil, nil, r.sess[:0]
+	r.stop.Store(false)
+	r.s.runs.Put(r)
+}
+
+// release returns the verify sessions and the admission slot: once,
+// after the last shard finished, by the caller or the helper outliving it.
+func (r *fanRun) release() {
+	for _, ses := range r.sess {
+		verify.Release(ses)
+	}
+	r.s.gate.release()
+}
+
+// runShard takes a claimed shard to its final state. The stall point
+// lets the fault harness hold the shard exactly where a slow disk or a
+// lock convoy would, whichever goroutine runs it.
+func (r *fanRun) runShard(i int) {
+	sl := &r.slots[i]
+	if r.stop.Load() {
+		sl.state.Store(shardStopped)
+		return
+	}
+	if sl.err = r.ctx.Err(); sl.err != nil {
+		sl.state.Store(shardExpired)
+		return
+	}
+	sl.state.Store(shardRunning)
+	if faultinject.Enabled() {
+		sl.err = faultinject.Fire(faultinject.ServerShardStall, r.ctx, i)
+	}
+	if sl.err == nil {
+		r.work(r, sl, r.s.shards[i])
+	}
+	switch sl.err {
+	case nil:
+		sl.state.Store(shardAnswered)
+	case lsf.ErrStopped:
+		sl.state.Store(shardStopped)
+	default:
+		sl.state.Store(shardFailed)
+	}
+}
+
+// drain claims and runs shards until none are left unclaimed.
+func (r *fanRun) drain() {
+	n := int32(len(r.slots))
+	for i := r.next.Add(1) - 1; i < n; i = r.next.Add(1) - 1 {
+		r.runShard(int(i))
+		switch r.pending.Add(-1) {
+		case 0:
+			r.wake <- struct{}{} // never blocks: one send per run, drained before reuse
+		case abandoned:
+			r.release()
 		}
 	}
-	cleanup()
-	sortShardErrs(f.Errs)
-	if m := s.metrics; m != nil && f.Partial() {
-		m.PartialFanouts.Inc()
-	}
-	return f
 }
 
-func sortShardErrs(errs []ShardError) {
-	sort.Slice(errs, func(a, b int) bool { return errs[a].Shard < errs[b].Shard })
+func (r *fanRun) help() { r.drain(); r.unref() }
+
+// fanOut runs work on every shard and reports how it went. The calling
+// goroutine claims shards off the same counter as its helpers, starting
+// at once on shard 0: a one-shard server spawns nothing, a thin query is
+// over before a helper has woken, a dense one runs min(workers, shards)
+// wide. The caller parks only while a helper still holds a claimed
+// shard, and not past ctx: it then leaves those shards to their helpers
+// and returns the rest as a partial answer (its own shard is canceled
+// cooperatively, within one lsf.CancelCheck stride). It must read only
+// merged slots — an abandoned shard may still be writing its own — and
+// unref the run when done.
+func (r *fanRun) fanOut(work shardWork) *Fanout {
+	s, n := r.s, len(r.slots)
+	helpers := s.workers
+	if helpers <= 0 {
+		helpers = runtime.GOMAXPROCS(0)
+	}
+	helpers = min(helpers, n) - 1
+	r.work = work
+	r.next.Store(0)
+	r.pending.Store(int32(n))
+	r.refs.Store(int32(1 + helpers))
+	for h := 0; h < helpers; h++ {
+		go r.help()
+	}
+	if helpers > 0 {
+		// `go` leaves its goroutine in this P's runnext slot, which an idle
+		// P steals only as a last resort, after a sleep: right for a
+		// spawner about to block, tens of µs late for one that runs a shard.
+		// A second spawn moves the helper to the stealable run queue.
+		go func() {}()
+	}
+	r.drain()
+	left := r.pending.Load()
+	if left != 0 {
+		select {
+		case <-r.wake:
+			left = 0
+		case <-r.ctx.Done():
+			left = r.pending.Add(abandoned) - abandoned
+		}
+	}
+	if left == 0 {
+		r.release()
+	}
+	f := &Fanout{Shards: n}
+	var stopped int64
+	for i := range r.slots {
+		sl := &r.slots[i]
+		switch sl.state.Load() {
+		case shardStopped:
+			stopped++
+			fallthrough
+		case shardAnswered:
+			sl.merged = true
+			f.Answered++
+		case shardFailed:
+			f.fail(i, sl.err, StageRunning)
+		case shardExpired:
+			f.fail(i, sl.err, StageQueued)
+		case shardRunning:
+			f.fail(i, r.ctx.Err(), StageRunning)
+		default: // claimed by a helper that has yet to look at it
+			f.fail(i, r.ctx.Err(), StageQueued)
+		}
+	}
+	s.metrics.observeFanout(int64(left), stopped, f.Partial())
+	return f
 }
 
 // QueryContext is Query under a deadline: admission-gated, canceled
 // cooperatively inside every shard, degraded to the answering shards'
-// merged match when some miss the deadline. The Fanout is never nil;
+// merged match when some miss the deadline. The first shard to find a
+// match stops its siblings, so the work — and the stats — end there, as
+// the paper's query procedure does; which qualifying match is returned
+// when several shards hold one is unspecified. The Fanout is never nil;
 // its Err is non-nil exactly when there is no usable answer (rejected,
 // or zero shards answered).
 func (s *Server) QueryContext(ctx context.Context, q bitvec.Vector, threshold float64, m bitvec.Measure) (segment.Match, segment.QueryStats, bool, *Fanout) {
-	if err := s.gate.acquire(ctx); err != nil {
-		return segment.Match{}, segment.QueryStats{}, false, s.rejected(err)
-	}
-	ses := verify.Acquire(m, q)
-	n := len(s.shards)
-	matches := make([]segment.Match, n)
-	founds := make([]bool, n)
-	stats := make([]segment.QueryStats, n)
-	f := s.fanOut(ctx, func(i int) error {
-		var err error
-		matches[i], stats[i], founds[i], err = s.shards[i].QueryWithContext(ctx, ses, threshold)
-		return err
-	}, func() {
-		verify.Release(ses)
-		s.gate.release()
-	})
-	match, agg, found := aggregateOK(f, matches, founds, stats, func(a, b segment.Match) bool {
-		return a.ID < b.ID
-	})
-	return match, agg, found, f
-}
-
-// QueryBestContext is QueryBest under a deadline (see QueryContext).
-func (s *Server) QueryBestContext(ctx context.Context, q bitvec.Vector, m bitvec.Measure) (segment.Match, segment.QueryStats, bool, *Fanout) {
-	if err := s.gate.acquire(ctx); err != nil {
-		return segment.Match{}, segment.QueryStats{}, false, s.rejected(err)
-	}
-	ses := verify.Acquire(m, q)
-	n := len(s.shards)
-	matches := make([]segment.Match, n)
-	founds := make([]bool, n)
-	stats := make([]segment.QueryStats, n)
-	f := s.fanOut(ctx, func(i int) error {
-		var err error
-		matches[i], stats[i], founds[i], err = s.shards[i].QueryBestWithContext(ctx, ses)
-		return err
-	}, func() {
-		verify.Release(ses)
-		s.gate.release()
-	})
-	match, agg, found := aggregateOK(f, matches, founds, stats, func(a, b segment.Match) bool {
-		if a.Similarity != b.Similarity {
-			return a.Similarity > b.Similarity
+	return s.single(ctx, q, m, threshold, func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
+		sl.match, sl.stats, sl.found, sl.err = sh.QueryWithCheck(lsf.NewStopCheck(r.ctx, &r.stop), r.sess[0], r.threshold)
+		if sl.found {
+			r.stop.Store(true)
 		}
-		return a.ID < b.ID
 	})
-	return match, agg, found, f
 }
 
-// aggregateOK merges the shard results that actually answered; slots of
-// failed shards are never read (their goroutines may still be writing).
-func aggregateOK(f *Fanout, matches []segment.Match, founds []bool, stats []segment.QueryStats, better func(a, b segment.Match) bool) (segment.Match, segment.QueryStats, bool) {
-	var (
-		agg   segment.QueryStats
-		best  segment.Match
-		found bool
-	)
-	for i := range matches {
-		if !f.OK(i) {
+// QueryBestContext is QueryBest under a deadline (see QueryContext;
+// every shard runs to its end).
+func (s *Server) QueryBestContext(ctx context.Context, q bitvec.Vector, m bitvec.Measure) (segment.Match, segment.QueryStats, bool, *Fanout) {
+	return s.single(ctx, q, m, 0, func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
+		sl.match, sl.stats, sl.found, sl.err = sh.QueryBestWithContext(r.ctx, r.sess[0])
+	})
+}
+
+// better is the merge order of shard winners: similarity descending,
+// ties to the lowest id.
+func better(a, b segment.Match) bool {
+	return a.Similarity > b.Similarity || (a.Similarity == b.Similarity && a.ID < b.ID)
+}
+
+// single runs a one-match mode and merges the shard winners that are
+// part of the answer.
+func (s *Server) single(ctx context.Context, q bitvec.Vector, m bitvec.Measure, threshold float64, work shardWork) (best segment.Match, agg segment.QueryStats, found bool, f *Fanout) {
+	r, f := s.begin(ctx, m, q)
+	if r == nil {
+		return best, agg, false, f
+	}
+	defer r.unref()
+	r.threshold = threshold
+	f = r.fanOut(work)
+	for i := range r.slots {
+		sl := &r.slots[i]
+		if !sl.merged {
 			continue
 		}
-		agg.Merge(stats[i])
-		if founds[i] && (!found || better(matches[i], best)) {
-			best, found = matches[i], true
+		agg.Merge(sl.stats)
+		if sl.found && (!found || better(sl.match, best)) {
+			best, found = sl.match, true
 		}
 	}
-	return best, agg, found
+	return best, agg, found, f
 }
 
 // TopKContext is TopK under a deadline (see QueryContext). A partial
 // fan-out returns the merged top-k of the answering shards.
 func (s *Server) TopKContext(ctx context.Context, q bitvec.Vector, k int, m bitvec.Measure) ([]segment.Match, segment.QueryStats, *Fanout) {
 	if k <= 0 {
-		return nil, segment.QueryStats{}, &Fanout{Shards: len(s.shards), Answered: len(s.shards), ok: okAll(len(s.shards))}
+		return nil, segment.QueryStats{}, &Fanout{Shards: len(s.shards), Answered: len(s.shards)}
 	}
-	if err := s.gate.acquire(ctx); err != nil {
-		return nil, segment.QueryStats{}, s.rejected(err)
+	r, f := s.begin(ctx, m, q)
+	if r == nil {
+		return nil, segment.QueryStats{}, f
 	}
-	ses := verify.Acquire(m, q)
-	n := len(s.shards)
-	perShard := make([][]segment.Match, n)
-	stats := make([]segment.QueryStats, n)
-	f := s.fanOut(ctx, func(i int) error {
-		var err error
-		perShard[i], stats[i], err = s.shards[i].TopKWithContext(ctx, ses, k)
-		return err
-	}, func() {
-		verify.Release(ses)
-		s.gate.release()
+	defer r.unref()
+	r.k = k
+	f = r.fanOut(func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
+		sl.list, sl.stats, sl.err = sh.TopKWithContext(r.ctx, r.sess[0], r.k)
 	})
 	var agg segment.QueryStats
 	var all []segment.Match
-	for i := range perShard {
-		if !f.OK(i) {
-			continue
+	for i := range r.slots {
+		if sl := &r.slots[i]; sl.merged {
+			agg.Merge(sl.stats)
+			all = append(all, sl.list...)
 		}
-		agg.Merge(stats[i])
-		all = append(all, perShard[i]...)
 	}
 	segment.SortMatches(all)
 	if len(all) > k {
@@ -312,55 +394,33 @@ func (s *Server) TopKContext(ctx context.Context, q bitvec.Vector, k int, m bitv
 	return all, agg, f
 }
 
-func okAll(n int) []bool {
-	ok := make([]bool, n)
-	for i := range ok {
-		ok[i] = true
-	}
-	return ok
-}
-
 // SearchBatchContext is SearchBatch under a deadline (see
 // QueryContext): one admission slot covers the whole batch, and a
 // partial fan-out merges each query's winners over the answering
 // shards only.
 func (s *Server) SearchBatchContext(ctx context.Context, qs []bitvec.Vector, thresholds []float64, m bitvec.Measure) ([]segment.BatchResult, segment.QueryStats, *Fanout) {
-	nq := len(qs)
-	if nq == 0 {
-		return nil, segment.QueryStats{}, &Fanout{Shards: len(s.shards), Answered: len(s.shards), ok: okAll(len(s.shards))}
+	if len(qs) == 0 {
+		return nil, segment.QueryStats{}, &Fanout{Shards: len(s.shards), Answered: len(s.shards)}
 	}
-	if err := s.gate.acquire(ctx); err != nil {
-		return nil, segment.QueryStats{}, s.rejected(err)
+	r, f := s.begin(ctx, m, qs...)
+	if r == nil {
+		return nil, segment.QueryStats{}, f
 	}
-	sess := make([]*verify.Session, nq)
-	for k, q := range qs {
-		sess[k] = verify.Acquire(m, q)
-	}
-	n := len(s.shards)
-	perShard := make([][]segment.BatchResult, n)
-	stats := make([]segment.QueryStats, n)
-	f := s.fanOut(ctx, func(i int) error {
-		var err error
-		perShard[i], stats[i], err = s.shards[i].SearchBatchContext(ctx, sess, thresholds)
-		return err
-	}, func() {
-		for _, se := range sess {
-			verify.Release(se)
-		}
-		s.gate.release()
+	defer r.unref()
+	r.thresholds = thresholds
+	f = r.fanOut(func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
+		sl.batch, sl.stats, sl.err = sh.SearchBatchContext(r.ctx, r.sess, r.thresholds)
 	})
-	out := make([]segment.BatchResult, nq)
+	out := make([]segment.BatchResult, len(qs))
 	var agg segment.QueryStats
-	for i := 0; i < n; i++ {
-		if !f.OK(i) {
+	for i := range r.slots {
+		sl := &r.slots[i]
+		if !sl.merged {
 			continue
 		}
-		agg.Merge(stats[i])
-		for k := range out {
-			r := perShard[i][k]
-			if r.Found && (!out[k].Found ||
-				r.Match.Similarity > out[k].Match.Similarity ||
-				(r.Match.Similarity == out[k].Match.Similarity && r.Match.ID < out[k].Match.ID)) {
+		agg.Merge(sl.stats)
+		for k, r := range sl.batch {
+			if r.Found && (!out[k].Found || better(r.Match, out[k].Match)) {
 				out[k] = r
 			}
 		}

@@ -46,6 +46,35 @@ func stallShard(target int) (entered chan struct{}, restore func()) {
 	return entered, restore
 }
 
+// stallHelperShard stalls shard target (> 0) the way a wedged disk
+// would — deaf to the request context, until restore — and makes sure a
+// helper goroutine is the one stalled: shard 0, which the calling
+// goroutine starts on, is held until target has entered its stall, so
+// the caller cannot have claimed target itself.
+func stallHelperShard(target int) (restore func()) {
+	var enter, release sync.Once
+	entered, released := make(chan struct{}), make(chan struct{})
+	disarm := faultinject.Set(faultinject.ServerShardStall, func(args ...any) error {
+		ctx := args[0].(context.Context)
+		switch args[1].(int) {
+		case 0:
+			select {
+			case <-entered:
+			case <-ctx.Done():
+			}
+		case target:
+			enter.Do(func() { close(entered) })
+			<-released
+			return ctx.Err()
+		}
+		return nil
+	})
+	return func() {
+		release.Do(func() { close(released) })
+		disarm()
+	}
+}
+
 func newFaultServer(t *testing.T, cfg Config, n int) (*Server, []bitvec.Vector) {
 	t.Helper()
 	srv, err := New(cfg)

@@ -271,7 +271,7 @@ func NewHandler(srv *Server, hc HandlerConfig) http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("search: unknown mode %q", req.Mode))
 			return
 		}
-		annotateFanout(w, f, slog.Int("set_bits", len(req.Set)), req.Mode, resp.Stats)
+		annotateFanout(hc, w, f, slog.Int("set_bits", len(req.Set)), req.Mode, resp.Stats)
 		if err := f.Err(); err != nil {
 			httpFanoutError(w, err)
 			return
@@ -326,7 +326,7 @@ func NewHandler(srv *Server, hc HandlerConfig) http.Handler {
 		}
 		defer cancel()
 		results, stats, f := srv.SearchBatchContext(ctx, qs, thresholds, m)
-		annotateFanout(w, f, slog.Int("batch_queries", len(req.Sets)), req.Mode, stats)
+		annotateFanout(hc, w, f, slog.Int("batch_queries", len(req.Sets)), req.Mode, stats)
 		if err := f.Err(); err != nil {
 			httpFanoutError(w, err)
 			return

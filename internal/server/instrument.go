@@ -113,11 +113,11 @@ func annotate(w http.ResponseWriter, attrs ...slog.Attr) {
 }
 
 // annotateFanout attaches a search request's query shape, fan-out
-// outcome, and traversal work to its slow-request log line. shape is
-// the mode-specific size attribute (set_bits for a single query,
-// batch_queries for a batch).
-func annotateFanout(w http.ResponseWriter, f *Fanout, shape slog.Attr, mode string, stats segment.QueryStats) {
-	if f == nil {
+// outcome, and traversal work to its slow-request log line — built only
+// when that line can be emitted at all. shape is the mode-specific size
+// attribute (set_bits for a single query, batch_queries for a batch).
+func annotateFanout(hc HandlerConfig, w http.ResponseWriter, f *Fanout, shape slog.Attr, mode string, stats segment.QueryStats) {
+	if f == nil || hc.Logger == nil || hc.SlowQuery <= 0 {
 		return
 	}
 	if mode == "" {

@@ -33,6 +33,9 @@ type Metrics struct {
 	// reaper, stage queued or running in the ShardError detail).
 	PartialFanouts  *obs.Counter
 	AbandonedShards *obs.Counter
+	// StoppedShards counts shards a mode-first fan-out cut short or never
+	// started because a sibling shard had already found a match.
+	StoppedShards *obs.Counter
 }
 
 // NewMetrics registers the serving stack's instruments on reg.
@@ -49,6 +52,22 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Fan-outs answered by some but not all shards (degraded results)."),
 		AbandonedShards: reg.Counter("skewsim_fanout_abandoned_shards_total",
 			"Shard goroutines abandoned past a fan-out deadline."),
+		StoppedShards: reg.Counter("skewsim_fanout_stopped_shards_total",
+			"Shards cut short or skipped because a sibling shard answered a mode-first search."),
+	}
+}
+
+// observeFanout records one fan-out's abandoned and stopped shards and
+// whether its answer was partial; the common all-zero case touches
+// nothing. Safe on a nil receiver (uninstrumented server).
+func (m *Metrics) observeFanout(abandoned, stopped int64, partial bool) {
+	if m == nil || (abandoned == 0 && stopped == 0 && !partial) {
+		return
+	}
+	m.AbandonedShards.Add(abandoned)
+	m.StoppedShards.Add(stopped)
+	if partial {
+		m.PartialFanouts.Inc()
 	}
 }
 

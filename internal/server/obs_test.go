@@ -42,7 +42,8 @@ func doJSON(t *testing.T, h http.Handler, method, url, body string) *httptest.Re
 }
 
 // TestObsStalledShardMetricsAndSlowLog: a fault-injected stalled shard
-// through the instrumented HTTP face must (a) return 200 partial with
+// (a helper-run one: only those are abandoned) through the instrumented
+// HTTP face must (a) return 200 partial with
 // the stalled shard's stage in shard_errors, (b) increment the
 // partial-fan-out and abandoned-shard counters and the "partial"
 // outcome for the endpoint, and (c) emit a slow-query log line naming
@@ -60,7 +61,7 @@ func TestObsStalledShardMetricsAndSlowLog(t *testing.T) {
 		SlowQuery: time.Nanosecond, // every request is "slow": the line must fire
 	})
 
-	_, restore := stallShard(0)
+	restore := stallHelperShard(2)
 	defer restore()
 
 	rr := doJSON(t, h, "POST", "/v1/search?timeout_ms=250", `{"set": [1, 5, 9], "mode": "best"}`)
@@ -77,11 +78,11 @@ func TestObsStalledShardMetricsAndSlowLog(t *testing.T) {
 	if !resp.Partial {
 		t.Fatalf("response not marked partial: %s", rr.Body)
 	}
-	if len(resp.ShardErrors) != 1 || resp.ShardErrors[0].Shard != 0 {
-		t.Fatalf("shard_errors = %v, want exactly shard 0", resp.ShardErrors)
+	if len(resp.ShardErrors) != 1 || resp.ShardErrors[0].Shard != 2 {
+		t.Fatalf("shard_errors = %v, want exactly shard 2", resp.ShardErrors)
 	}
-	if st := resp.ShardErrors[0].Stage; st != StageQueued && st != StageRunning {
-		t.Fatalf("shard error stage = %q, want %q or %q", st, StageQueued, StageRunning)
+	if st := resp.ShardErrors[0].Stage; st != StageRunning {
+		t.Fatalf("shard error stage = %q, want %q", st, StageRunning)
 	}
 
 	if got := m.PartialFanouts.Value(); got != 1 {

@@ -30,7 +30,8 @@ import (
 type Config struct {
 	// Shards is the number of SegmentedIndex partitions. Defaults to 4.
 	Shards int
-	// Workers bounds the fan-out pool for queries and batch inserts
+	// Workers bounds how many goroutines run one query's shards (the
+	// calling goroutine counts as one) and the batch-insert pool
 	// (<= 0 selects GOMAXPROCS; always clamped to the shard count).
 	Workers int
 	// Segment configures every shard (same engines everywhere — a
@@ -89,8 +90,9 @@ type Config struct {
 type Server struct {
 	shards  []*segment.SegmentedIndex
 	workers int
-	gate    *gate    // query admission; nil admits everything
-	metrics *Metrics // nil when uninstrumented
+	gate    *gate     // query admission; nil admits everything
+	metrics *Metrics  // nil when uninstrumented
+	runs    sync.Pool // *fanRun, sized for this server's shards (fanout.go)
 
 	// readOnly marks a replication follower: the HTTP insert/delete
 	// endpoints refuse while set (see replica.go). In-process applies
@@ -305,12 +307,12 @@ func (s *Server) Delete(id int64) bool {
 }
 
 // Query fans the threshold query out and returns a match with
-// similarity >= threshold if any shard finds one (the lowest-id match
-// among shard winners, so results are deterministic under parallelism).
-// The query is packed once into a pooled verification session shared by
-// every shard goroutine (Session verification is read-only, so the
-// concurrent fan-out is safe); steady-state serving allocates only the
-// fan-out bookkeeping.
+// similarity >= threshold if any shard finds one; the first shard to
+// find one stops the others (see QueryContext). The query is packed
+// once into a pooled verification session shared by every shard
+// goroutine (Session verification is read-only, so the concurrent
+// fan-out is safe); steady-state serving allocates only the returned
+// Fanout.
 func (s *Server) Query(q bitvec.Vector, threshold float64, m bitvec.Measure) (segment.Match, segment.QueryStats, bool) {
 	match, stats, found, _ := s.QueryContext(context.Background(), q, threshold, m)
 	return match, stats, found

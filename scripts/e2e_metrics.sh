@@ -65,6 +65,7 @@ skewsim_wal_commit_batch_records,\
 skewsim_index_live_vectors,\
 skewsim_index_segments,\
 skewsim_admission_inflight,\
+skewsim_fanout_stopped_shards_total,\
 skewsim_wal_bytes
 
 echo "e2e: ok"
