@@ -32,17 +32,21 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"skewsim/internal/obs"
@@ -188,14 +192,19 @@ func (g *gateway) probe(b *backend) {
 	}
 }
 
-func (g *gateway) probeLoop(interval time.Duration) {
-	for _, b := range g.backends {
-		g.probe(b)
-	}
+// probeLoop probes every backend now and then every interval, until
+// ctx is done.
+func (g *gateway) probeLoop(ctx context.Context, interval time.Duration) {
 	tick := time.NewTicker(interval)
-	for range tick.C {
+	defer tick.Stop()
+	for {
 		for _, b := range g.backends {
 			g.probe(b)
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
 		}
 	}
 }
@@ -449,6 +458,49 @@ func (g *gateway) handler() http.Handler {
 	return mux
 }
 
+// shutdownDrain bounds how long a stopping gateway waits for in-flight
+// requests.
+const shutdownDrain = 5 * time.Second
+
+// serve runs the gateway on ln until ctx is done, then drains in-flight
+// requests for up to shutdownDrain, stops the prober and drops the idle
+// upstream connections: when serve returns, nothing it started runs.
+func (g *gateway) serve(ctx context.Context, ln net.Listener, probeInterval time.Duration) error {
+	probeCtx, stopProbes := context.WithCancel(context.Background())
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		g.probeLoop(probeCtx, probeInterval)
+	}()
+	defer func() {
+		stopProbes()
+		<-probed
+		g.client.CloseIdleConnections()
+		g.probes.CloseIdleConnections()
+	}()
+	hs := &http.Server{
+		Handler:           g.handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       2 * time.Minute,
+		WriteTimeout:      5 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	drainCtx, cancel := context.WithTimeout(context.Background(), shutdownDrain)
+	defer cancel()
+	err := hs.Shutdown(drainCtx)
+	if serr := <-served; !errors.Is(serr, http.ErrServerClosed) {
+		err = errors.Join(err, serr)
+	}
+	return err
+}
+
 func main() {
 	var (
 		addr          = flag.String("addr", ":9090", "gateway listen address")
@@ -485,20 +537,21 @@ func main() {
 	client := &http.Client{Transport: http.DefaultTransport}
 	probeClient := &http.Client{Timeout: *probeTimeout}
 	g := newGateway(urls, client, probeClient, logger, *maxLag, *writeRetries)
-	go g.probeLoop(*probeInterval)
-
-	logger.Info("skewgate serving", "addr", *addr, "backends", urls,
-		"probe_interval", *probeInterval, "max_lag_records", *maxLag)
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           g.handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		logger.Error("listener failed", "err", err)
 		os.Exit(1)
 	}
+
+	// SIGINT/SIGTERM drains in-flight requests and stops the prober; a
+	// second signal kills immediately.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	logger.Info("skewgate serving", "addr", *addr, "backends", urls,
+		"probe_interval", *probeInterval, "max_lag_records", *maxLag)
+	if err := g.serve(ctx, ln, *probeInterval); err != nil {
+		logger.Error("listener failed", "err", err)
+		os.Exit(1)
+	}
+	logger.Info("shutdown complete")
 }

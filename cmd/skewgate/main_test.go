@@ -1,12 +1,15 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -24,6 +27,7 @@ type fakeBackend struct {
 	lag      atomic.Int64
 	searches atomic.Int64
 	inserts  atomic.Int64
+	probes   atomic.Int64 // /healthz calls
 	busy     atomic.Int32 // remaining 503 responses for writes
 }
 
@@ -34,6 +38,7 @@ func newFakeBackend(t *testing.T, name, role string, lag int64) *fakeBackend {
 	fb.lag.Store(lag)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fb.probes.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"status":"ok","role":%q}`, fb.role.Load())
 	})
@@ -245,6 +250,52 @@ func TestGatewayHealthz(t *testing.T) {
 	code, body, _ = doJSON(t, "GET", ts.URL+"/healthz")
 	if code != http.StatusServiceUnavailable || body["status"] != "degraded" {
 		t.Fatalf("healthz with dead primary: status %d body %v", code, body)
+	}
+}
+
+// TestGatewayShutdownStopsProber: a serving gateway runs its prober
+// beside the listener; once its context is done, serve returns and the
+// goroutine count is back where it was before serve started.
+func TestGatewayShutdownStopsProber(t *testing.T) {
+	primary := newFakeBackend(t, "p", "primary", 0)
+	client := &http.Client{Timeout: 5 * time.Second}
+	g := newGateway([]string{primary.ts.URL}, client, client, slog.New(slog.NewTextHandler(io.Discard, nil)), 100, 3)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- g.serve(ctx, ln, time.Millisecond) }()
+	url := "http://" + ln.Addr().String()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if code, _, _ := doJSON(t, "GET", url+"/healthz"); code == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("gateway never became healthy")
+		}
+	}
+	if code, body, _ := doJSON(t, "POST", url+"/v1/search"); code != http.StatusOK || body["backend"] != "p" {
+		t.Fatalf("search: status %d body %v", code, body)
+	}
+	http.DefaultClient.CloseIdleConnections()
+
+	cancel()
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after shutdown, %d before serve", runtime.NumGoroutine(), baseline)
+		}
+	}
+	probes := primary.probes.Load()
+	time.Sleep(20 * time.Millisecond)
+	if got := primary.probes.Load(); got != probes {
+		t.Fatalf("backend probed %d more times after shutdown", got-probes)
 	}
 }
 

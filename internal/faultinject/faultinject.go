@@ -1,14 +1,16 @@
 // Package faultinject is the registry-gated fault-injection seam for
 // the serving stack: named injection points compiled into the WAL
-// (fsync), the segment worker (checkpoint write, freeze), and the shard
-// fan-out (stall) fire a test-installed hook when one is armed and cost
-// one atomic load when none is.
+// (fsync), the segment worker (checkpoint write, freeze), the query plan
+// (one repetition computed) and the shard fan-out (stall) fire a
+// test-installed hook when one is armed and cost one atomic load when
+// none is.
 //
 // The points stay compiled in (no build tag) so the fault suite runs as
 // part of the ordinary test tiers; the armed-count fast path keeps the
 // production cost of a disarmed point to a single atomic load and
 // branch — off the per-candidate hot loops entirely (every wired point
-// sits on an IO or fan-out boundary, never inside a traversal).
+// sits on an IO, fan-out or per-repetition boundary, never inside a
+// posting walk).
 //
 // Hooks are process-global, so tests that arm a point must not run in
 // parallel with tests sensitive to it (the fault tests arm, exercise,
@@ -38,6 +40,11 @@ const (
 	// a CSR segment; hooks typically sleep to widen the freeze window.
 	// The return value is ignored. Args: the memtable size (int).
 	SegmentSlowFreeze Point = "segment.slow-freeze"
+	// SegmentPlanned fires after a traversal has computed one repetition
+	// of a query plan (every query's filter set and path hashes); hooks
+	// count filter generation. The return value is ignored. Args: the
+	// repetition (int) and the plan's query count (int).
+	SegmentPlanned Point = "segment.planned"
 	// ServerShardStall fires in the query fan-out before a shard is
 	// queried; a hook can block (e.g. until the request context is
 	// done) to simulate a stalled shard, and a non-nil return marks the

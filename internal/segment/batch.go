@@ -5,6 +5,7 @@ import (
 	"context"
 	"slices"
 
+	"skewsim/internal/bitvec"
 	"skewsim/internal/lsf"
 	"skewsim/internal/verify"
 )
@@ -21,8 +22,9 @@ type BatchResult struct {
 // batch:
 //
 //   - one filter generation per repetition engine covers the whole
-//     batch: all queries' filter sets for a repetition are computed
-//     back to back while the engine's tables are hot;
+//     batch: the plan computes all queries' filter sets for a
+//     repetition back to back while the engine's tables are hot (and,
+//     at the server level, once for every shard);
 //   - each frozen segment is visited once per batch per repetition,
 //     and within it every query's resolved posting spans are walked in
 //     ascending arena offset (posting-array order), so the segment's
@@ -37,6 +39,8 @@ type BatchResult struct {
 // means a candidate at or above it exists (the batch analogue of
 // Query, which returns some passing match — SearchBatch returns the
 // best one, verifying exhaustively instead of stopping at the first).
+// A query whose every repetition truncated and that found nothing is
+// answered by an exact scan of the live slots, as in traverse.
 //
 // Per query, the candidate set — the distinct live slots sharing a
 // filter with the query — is exactly the single-query path's; only the
@@ -64,7 +68,19 @@ func (s *SegmentedIndex) SearchBatch(sess []*verify.Session, thresholds []float6
 // incomplete. A nil or never-canceled ctx costs one nil compare per
 // checkpoint.
 func (s *SegmentedIndex) SearchBatchContext(ctx context.Context, sess []*verify.Session, thresholds []float64) ([]BatchResult, QueryStats, error) {
-	cc := lsf.NewCancelCheck(ctx)
+	qs := make([]bitvec.Vector, len(sess))
+	for k, ses := range sess {
+		qs[k] = ses.Query()
+	}
+	p := s.eng.plan(qs...)
+	defer s.eng.release(p)
+	return s.SearchBatchPlan(lsf.NewCancelCheck(ctx), p, sess, thresholds)
+}
+
+// SearchBatchPlan is SearchBatchContext over a caller-built plan of the
+// sessions' queries, in order, and a caller-built checkpoint (see
+// QueryPlan).
+func (s *SegmentedIndex) SearchBatchPlan(cc *lsf.CancelCheck, p *Plan, sess []*verify.Session, thresholds []float64) ([]BatchResult, QueryStats, error) {
 	var stats QueryStats
 	nq := len(sess)
 	if nq == 0 {
@@ -72,6 +88,10 @@ func (s *SegmentedIndex) SearchBatchContext(ctx context.Context, sess []*verify.
 	}
 	if thresholds != nil && len(thresholds) != nq {
 		panic("segment: SearchBatch thresholds length does not match sessions")
+	}
+	s.checkPlan(p)
+	if len(p.qs) != nq {
+		panic("segment: SearchBatch plan does not cover the sessions")
 	}
 	if m := s.cfg.Metrics; m != nil {
 		// One aggregate observation per shard-batch (query="batch"
@@ -97,12 +117,7 @@ func (s *SegmentedIndex) SearchBatchContext(ctx context.Context, sess []*verify.
 		}
 	}()
 
-	emit := func(k int, slot int32) {
-		stats.Candidates++
-		if !vis[k].FirstVisit(slot) || !s.alive[slot] {
-			return
-		}
-		stats.Distinct++
+	consider := func(k int, slot int32) {
 		// Prune at the running best, non-strictly: equal-similarity
 		// candidates must surface so the lowest-id tie-break can apply.
 		t := -1.0
@@ -120,55 +135,46 @@ func (s *SegmentedIndex) SearchBatchContext(ctx context.Context, sess []*verify.
 			}
 		}
 	}
-
-	fss := make([]*lsf.FilterSet, nq)
-	releaseFss := func() {
-		for k := range fss {
-			if fss[k] != nil {
-				s.fsPool.Put(fss[k])
-				fss[k] = nil
-			}
+	emit := func(k int, slot int32) {
+		stats.Candidates++
+		if vis[k].FirstVisit(slot) && s.alive[slot] {
+			stats.Distinct++
+			consider(k, slot)
 		}
 	}
-	hashes := make([][]uint64, nq)
+
 	var refs []lsf.PostingRef
 	var coldBuf []int32
-	for r, eng := range s.engines {
+	for r := range s.eng.reps {
+		// The plan holds the whole batch's filter sets for this
+		// repetition, with one path hash per (query, filter) shared by
+		// every layer below: memtable bucket maps, segment bloom filters,
+		// and frozen key tables.
+		pr, err := p.await(r, cc)
+		if err != nil {
+			return out, stats, err
+		}
 		stats.Reps++
-		// One filter generation for the whole batch, and one path hash
-		// per (query, filter) shared by every layer below: memtable
-		// bucket maps, segment bloom filters, and frozen key tables.
 		for k := range sess {
-			fs := s.getFilterSet()
-			eng.FiltersIntoCancel(sess[k].Query(), fs, cc)
-			stats.Filters += fs.Len()
-			if fs.Truncated {
+			stats.Filters += pr.fss[k].Len()
+			if pr.fss[k].Truncated {
 				stats.Truncated++
 			}
-			fss[k] = fs
-			hashes[k] = hashes[k][:0]
-			for i := 0; i < fs.Len(); i++ {
-				hashes[k] = append(hashes[k], lsf.HashPath(fs.Path(i)))
-			}
-		}
-		if cc.Err() != nil {
-			releaseFss()
-			return out, stats, cc.Err()
 		}
 		// Mutable layers: chained-bucket maps, probed per query in
 		// filter order (they are small; blocking buys nothing here).
-		for k, fs := range fss {
-			for i := 0; i < fs.Len(); i++ {
+		for k := range sess {
+			fs := &pr.fss[k]
+			for i, h := range pr.hashes[k] {
 				if cc != nil && cc.Check() {
-					releaseFss()
 					return out, stats, cc.Err()
 				}
 				path := fs.Path(i)
-				for _, slot := range s.mem.reps[r].postingsHash(hashes[k][i], path) {
+				for _, slot := range s.mem.reps[r].postingsHash(h, path) {
 					emit(k, slot)
 				}
 				for _, mt := range s.flushing {
-					for _, slot := range mt.reps[r].postingsHash(hashes[k][i], path) {
+					for _, slot := range mt.reps[r].postingsHash(h, path) {
 						emit(k, slot)
 					}
 				}
@@ -181,14 +187,13 @@ func (s *SegmentedIndex) SearchBatchContext(ctx context.Context, sess []*verify.
 		// the mapping at all.
 		for _, g := range s.segs {
 			ix := g.reps[r]
-			for k, fs := range fss {
+			for k := range sess {
 				if cc != nil && cc.Check() {
-					releaseFss()
 					return out, stats, cc.Err()
 				}
+				fs := &pr.fss[k]
 				refs = refs[:0]
-				for i := 0; i < fs.Len(); i++ {
-					h := hashes[k][i]
+				for i, h := range pr.hashes[k] {
 					if g.bloom != nil {
 						stats.BloomProbes++
 						if !g.bloom.mayContain(h) {
@@ -210,7 +215,15 @@ func (s *SegmentedIndex) SearchBatchContext(ctx context.Context, sess []*verify.
 				}
 			}
 		}
-		releaseFss()
+	}
+	for k := range sess {
+		if out[k].Found || !p.allTruncated(k) {
+			continue
+		}
+		stats.FellBack++
+		if err := s.scanLive(vis[k], cc, func(slot int32) bool { consider(k, slot); return true }); err != nil {
+			return out, stats, err
+		}
 	}
 	return out, stats, nil
 }

@@ -40,7 +40,7 @@ func (s *SegmentedIndex) buildSegment(mt *memtable) *frozenSeg {
 	}
 	var lids []int32
 	for r := range mt.reps {
-		bl := lsf.NewBuilder(s.engines[r], data)
+		bl := lsf.NewBuilder(s.eng.reps[r], data)
 		for _, chain := range mt.reps[r].buckets {
 			for _, b := range chain {
 				lids = lids[:0]
@@ -92,7 +92,7 @@ func (s *SegmentedIndex) mergeSegments(a, b *frozenSeg) *frozenSeg {
 	merged := &frozenSeg{slots: slots, reps: make([]*lsf.Index, len(a.reps))}
 	var lids []int32
 	for r := range merged.reps {
-		bl := lsf.NewBuilder(s.engines[r], data)
+		bl := lsf.NewBuilder(s.eng.reps[r], data)
 		for _, g := range srcs {
 			g.reps[r].ForEachBucket(func(path []uint32, ids []int32) {
 				lids = lids[:0]

@@ -37,6 +37,9 @@ type Metrics struct {
 	QueryFilters    *obs.Histogram
 	QueryDistinct   *obs.Histogram
 	QueryTruncated  *obs.Counter
+	// QueryFellBack counts shard-queries answered by the exact-scan
+	// fallback (QueryStats.FellBack), batch queries included.
+	QueryFellBack *obs.Counter
 
 	BatchCandidates *obs.Histogram
 	BatchFilters    *obs.Histogram
@@ -69,6 +72,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		FreezeSeconds:  reg.Histogram("skewsim_segment_freeze_seconds", "Duration of one memtable freeze.", dur),
 		CompactSeconds: reg.Histogram("skewsim_segment_compact_seconds", "Duration of one segment compaction.", dur),
 		QueryTruncated: reg.Counter("skewsim_query_truncated_total", "Repetitions whose filter generation hit the budget."),
+		QueryFellBack:  reg.Counter("skewsim_query_fellback_total", "Shard-queries answered by an exact scan after every repetition truncated."),
 		Demotions:      reg.Counter("skewsim_segment_demotions_total", "Frozen segments demoted to cold (mmap-backed) serving."),
 		Promotions:     reg.Counter("skewsim_segment_promotions_total", "Cold segments promoted back to resident heap arenas."),
 		DecodeSeconds:  reg.Histogram("skewsim_segment_decode_seconds", "Duration of one promotion's segment decode.", dur),
@@ -76,10 +80,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		BloomSkips:     reg.Counter("skewsim_segment_bloom_skips_total", "Segment probes skipped by the bloom filter."),
 	}
 	m.QueryCandidates = reg.Histogram("skewsim_query_candidates", "Candidate occurrences per shard-query.", work, single)
-	m.QueryFilters = reg.Histogram("skewsim_query_filters", "Generated filters per shard-query.", work, single)
+	m.QueryFilters = reg.Histogram("skewsim_query_filters", "Filters (|F(q)|) probed per shard-query.", work, single)
 	m.QueryDistinct = reg.Histogram("skewsim_query_distinct", "Distinct live candidates verified per shard-query.", work, single)
 	m.BatchCandidates = reg.Histogram("skewsim_query_candidates", "Candidate occurrences per shard-query.", work, batch)
-	m.BatchFilters = reg.Histogram("skewsim_query_filters", "Generated filters per shard-query.", work, batch)
+	m.BatchFilters = reg.Histogram("skewsim_query_filters", "Filters (|F(q)|) probed per shard-query.", work, batch)
 	m.BatchDistinct = reg.Histogram("skewsim_query_distinct", "Distinct live candidates verified per shard-query.", work, batch)
 	return m
 }
@@ -90,10 +94,7 @@ func (m *Metrics) observeQuery(st *QueryStats) {
 	m.QueryCandidates.Observe(int64(st.Candidates))
 	m.QueryFilters.Observe(int64(st.Filters))
 	m.QueryDistinct.Observe(int64(st.Distinct))
-	if st.Truncated > 0 {
-		m.QueryTruncated.Add(int64(st.Truncated))
-	}
-	m.observeBloom(st)
+	m.observeTruncation(st)
 }
 
 // observeBatch records one batch traversal's aggregate stats.
@@ -101,13 +102,18 @@ func (m *Metrics) observeBatch(st *QueryStats) {
 	m.BatchCandidates.Observe(int64(st.Candidates))
 	m.BatchFilters.Observe(int64(st.Filters))
 	m.BatchDistinct.Observe(int64(st.Distinct))
+	m.observeTruncation(st)
+}
+
+// observeTruncation records the budget hits, their fallbacks, and the
+// bloom work shared by both query kinds.
+func (m *Metrics) observeTruncation(st *QueryStats) {
 	if st.Truncated > 0 {
 		m.QueryTruncated.Add(int64(st.Truncated))
 	}
-	m.observeBloom(st)
-}
-
-func (m *Metrics) observeBloom(st *QueryStats) {
+	if st.FellBack > 0 {
+		m.QueryFellBack.Add(int64(st.FellBack))
+	}
 	if st.BloomProbes > 0 {
 		m.BloomProbes.Add(int64(st.BloomProbes))
 	}

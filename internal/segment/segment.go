@@ -6,11 +6,13 @@
 // list and a background worker freezes them into immutable CSR segments
 // (the frozen arenas of internal/lsf, via its segment-facing Builder);
 // a compaction pass merges small segments and physically drops
-// tombstoned vectors. Queries compute F(q) once per repetition engine
-// and probe the memtables and every frozen segment per path, merging
-// candidates through one epoch-stamped lsf.Visited set, so the layered
-// structure answers exactly like a single static index over the live
-// data (asserted differentially in the tests).
+// tombstoned vectors. Queries take F(q) per repetition engine from a
+// query Plan (computed once per request, and shared by every index
+// running the same Engines) and probe the memtables and every frozen
+// segment per path, merging candidates through one epoch-stamped
+// lsf.Visited set, so the layered structure answers exactly like a
+// single static index over the live data (asserted differentially in
+// the tests).
 //
 // Consistency model: a single RWMutex guards the index. Insert/Delete
 // are atomic and immediately visible to queries that start after they
@@ -59,6 +61,10 @@ type Config struct {
 	// N is the dataset size the engines are tuned for (default depth
 	// caps). Defaults to 1 << 16. This does not bound the index.
 	N int
+	// Engines, when set, are prebuilt repetition engines (NewEngines over
+	// this Params and N) to run instead of private ones. Indexes sharing
+	// one Engines accept each other's query Plans.
+	Engines *Engines
 	// MemtableSize is the number of vectors a memtable accepts before it
 	// rotates to the freeze queue. Defaults to 4096.
 	MemtableSize int
@@ -159,6 +165,9 @@ type QueryStats struct {
 	Segments    int // frozen segments consulted
 	BloomProbes int // per-(path, segment) bloom filter checks
 	BloomSkips  int // segment probes skipped by the bloom filter
+	// FellBack counts queries answered by an exact scan of the live
+	// slots: every repetition truncated and the filters found nothing.
+	FellBack int `json:",omitempty"`
 }
 
 // Merge accumulates another query's stats into s (the shard router sums
@@ -173,6 +182,7 @@ func (s *QueryStats) Merge(o QueryStats) {
 	s.Segments += o.Segments
 	s.BloomProbes += o.BloomProbes
 	s.BloomSkips += o.BloomSkips
+	s.FellBack += o.FellBack
 }
 
 // IndexStats is a point-in-time size report.
@@ -199,8 +209,8 @@ type IndexStats struct {
 // SegmentedIndex is a mutable, concurrently-usable index. The zero value
 // is not usable; construct with New and release with Close.
 type SegmentedIndex struct {
-	cfg     Config
-	engines []*lsf.Engine
+	cfg Config
+	eng *Engines
 
 	mu         sync.RWMutex
 	cond       *sync.Cond    // signalled on any state change the worker or waiters watch
@@ -272,24 +282,18 @@ type SegmentedIndex struct {
 // worker. Callers must Close it to stop the worker.
 func New(cfg Config) (*SegmentedIndex, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Params) == 0 {
-		return nil, errors.New("segment: Config.Params must supply at least one repetition engine")
+	eng, err := NewEngines(cfg)
+	if err != nil {
+		return nil, err
 	}
 	s := &SegmentedIndex{
 		cfg:        cfg,
-		engines:    make([]*lsf.Engine, len(cfg.Params)),
-		mem:        newMemtable(len(cfg.Params)),
+		eng:        eng,
+		mem:        newMemtable(len(eng.reps)),
 		slotOf:     make(map[int64]int32),
 		segSeq:     1,
 		crashHook:  func(string) {},
 		workerDone: make(chan struct{}),
-	}
-	for r, p := range cfg.Params {
-		eng, err := lsf.NewEngine(cfg.N, p)
-		if err != nil {
-			return nil, fmt.Errorf("segment: repetition %d: %w", r, err)
-		}
-		s.engines[r] = eng
 	}
 	s.cond = sync.NewCond(&s.mu)
 	go s.worker()
@@ -316,7 +320,7 @@ func (s *SegmentedIndex) Close() {
 }
 
 // Repetitions returns the number of repetition engines.
-func (s *SegmentedIndex) Repetitions() int { return len(s.engines) }
+func (s *SegmentedIndex) Repetitions() int { return len(s.eng.reps) }
 
 // Insert adds v under the next auto-assigned external id and returns it.
 // Do not mix with InsertWithID unless caller-chosen ids stay out of the
@@ -382,8 +386,8 @@ func (s *SegmentedIndex) InsertWithID(id int64, v bitvec.Vector) error {
 // the expensive part of an insert, dependent only on the immutable
 // engines — outside any lock, into pooled arenas.
 func (s *SegmentedIndex) computeFilters(v bitvec.Vector) []*lsf.FilterSet {
-	fss := make([]*lsf.FilterSet, len(s.engines))
-	for r, eng := range s.engines {
+	fss := make([]*lsf.FilterSet, len(s.eng.reps))
+	for r, eng := range s.eng.reps {
 		fs := s.getFilterSet()
 		eng.FiltersInto(v, fs)
 		fss[r] = fs
@@ -482,7 +486,7 @@ func (s *SegmentedIndex) rotateLocked() {
 	}
 	s.mem.rotLSN = s.memMaxLSN
 	s.flushing = append(s.flushing, s.mem)
-	s.mem = newMemtable(len(s.engines))
+	s.mem = newMemtable(len(s.eng.reps))
 	s.cond.Broadcast()
 }
 
@@ -610,34 +614,47 @@ func (s *SegmentedIndex) getFilterSet() *lsf.FilterSet {
 	return fs
 }
 
+// checkPlan panics on a plan made over other engines than the index
+// runs: its filter sets would silently miss every bucket.
+func (s *SegmentedIndex) checkPlan(p *Plan) {
+	if p.eng != s.eng {
+		panic("segment: query plan made over different engines")
+	}
+}
+
 // forEach runs the traversal and, when metrics are attached, records
 // the query's work stats — one observation per (shard-)query, canceled
 // or not, so the histograms see the same population the server serves.
-func (s *SegmentedIndex) forEach(q bitvec.Vector, stats *QueryStats, cc *lsf.CancelCheck, sink func(slot int32) bool) error {
-	err := s.traverse(q, stats, cc, sink)
+func (s *SegmentedIndex) forEach(p *Plan, stats *QueryStats, cc *lsf.CancelCheck, found *bool, sink func(slot int32) bool) error {
+	s.checkPlan(p)
+	err := s.traverse(p, stats, cc, found, sink)
 	if m := s.cfg.Metrics; m != nil {
 		m.observeQuery(stats)
 	}
 	return err
 }
 
-// traverse is the single traversal behind every query entry point: for
-// each repetition engine it computes F(q) once into a pooled arena, then
-// probes the active memtable, the flushing memtables, and every frozen
-// segment for each path, deduplicating slots index-wide through one
-// epoch-stamped Visited set and masking tombstones, streaming each
-// distinct live slot into sink in first-encounter order until sink
-// returns false. Runs entirely under the read lock: one query sees one
-// consistent snapshot.
+// traverse is the single traversal behind every single-query entry
+// point: for each repetition it takes the query's F(q) and path hashes
+// from the plan p (query 0), then probes the active memtable, the
+// flushing memtables, and every frozen segment for each path,
+// deduplicating slots index-wide through one epoch-stamped Visited set
+// and masking tombstones, streaming each distinct live slot into sink in
+// first-encounter order until sink returns false. Runs entirely under
+// the read lock: one query sees one consistent snapshot.
+//
+// found, when non-nil, reports whether sink has accepted a match. A
+// traversal whose every repetition truncated and found nothing falls
+// back to streaming every unvisited live slot into sink, as
+// core.Index.Query does, so the work budget never silently drops an
+// answer.
 //
 // cc, when non-nil, is a cooperative cancellation checkpoint polled
-// during each repetition's filter generation and once per filter path —
+// while a repetition is planned or awaited and once per filter path —
 // the nil (no-deadline) path pays one pointer compare per path. The
 // returned error is non-nil exactly when the traversal was cut short by
 // cc; a sink-initiated early stop returns nil.
-func (s *SegmentedIndex) traverse(q bitvec.Vector, stats *QueryStats, cc *lsf.CancelCheck, sink func(slot int32) bool) error {
-	fs := s.getFilterSet()
-	defer s.fsPool.Put(fs)
+func (s *SegmentedIndex) traverse(p *Plan, stats *QueryStats, cc *lsf.CancelCheck, found *bool, sink func(slot int32) bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	stats.Segments = len(s.segs)
@@ -658,25 +675,24 @@ func (s *SegmentedIndex) traverse(q bitvec.Vector, stats *QueryStats, cc *lsf.Ca
 	// — and never allocated — while every consulted segment is resident
 	// or uncompressed).
 	var coldBuf []int32
-	for r, eng := range s.engines {
-		fs.Reset()
-		eng.FiltersIntoCancel(q, fs, cc)
-		if cc.Err() != nil {
-			return cc.Err()
+	for r := range s.eng.reps {
+		pr, err := p.await(r, cc)
+		if err != nil {
+			return err
 		}
+		fs := &pr.fss[0]
 		stats.Reps++
 		stats.Filters += fs.Len()
 		if fs.Truncated {
 			stats.Truncated++
 		}
-		for k := 0; k < fs.Len(); k++ {
+		// One hash per (repetition, path) serves the memtable maps, every
+		// segment's key table, and every segment's bloom filter.
+		for k, h := range pr.hashes[0] {
 			if cc != nil && cc.Check() {
 				return cc.Err()
 			}
 			path := fs.Path(k)
-			// One hash per (repetition, path) serves the memtable maps,
-			// every segment's key table, and every segment's bloom filter.
-			h := lsf.HashPath(path)
 			for _, slot := range s.mem.reps[r].postingsHash(h, path) {
 				if !emit(slot) {
 					return nil
@@ -703,6 +719,25 @@ func (s *SegmentedIndex) traverse(q bitvec.Vector, stats *QueryStats, cc *lsf.Ca
 					}
 				}
 			}
+		}
+	}
+	if found == nil || *found || !p.allTruncated(0) {
+		return nil
+	}
+	stats.FellBack++
+	return s.scanLive(vis, cc, sink)
+}
+
+// scanLive is the truncation fallback: it streams every live slot vis
+// has not seen into fn, in slot order, until fn returns false. Caller
+// holds the read lock.
+func (s *SegmentedIndex) scanLive(vis *lsf.Visited, cc *lsf.CancelCheck, fn func(slot int32) bool) error {
+	for slot := range int32(len(s.vecs)) {
+		if cc != nil && cc.Check() {
+			return cc.Err()
+		}
+		if s.alive[slot] && vis.FirstVisit(slot) && !fn(slot) {
+			return nil
 		}
 	}
 	return nil
@@ -735,20 +770,23 @@ func (s *SegmentedIndex) QueryWith(ses *verify.Session, threshold float64) (Matc
 // must be treated as incomplete. A nil or never-canceled ctx costs one
 // nil compare per checkpoint.
 func (s *SegmentedIndex) QueryWithContext(ctx context.Context, ses *verify.Session, threshold float64) (Match, QueryStats, bool, error) {
-	return s.QueryWithCheck(lsf.NewCancelCheck(ctx), ses, threshold)
+	p := s.eng.plan(ses.Query())
+	defer s.eng.release(p)
+	return s.QueryPlan(lsf.NewCancelCheck(ctx), p, ses, threshold)
 }
 
-// QueryWithCheck is QueryWithContext over a caller-built checkpoint, so
-// the shard router can cut the traversal short with a stop signal as
-// well as a deadline (lsf.NewStopCheck); the error is then
+// QueryPlan is QueryWithContext over a caller-built plan of ses's query
+// and a caller-built checkpoint: the shard router plans a request once
+// for all of its shards, and cuts the traversal short with a stop
+// signal as well as a deadline (lsf.NewStopCheck); the error is then
 // lsf.ErrStopped and nothing was found before the stop.
-func (s *SegmentedIndex) QueryWithCheck(cc *lsf.CancelCheck, ses *verify.Session, threshold float64) (Match, QueryStats, bool, error) {
+func (s *SegmentedIndex) QueryPlan(cc *lsf.CancelCheck, p *Plan, ses *verify.Session, threshold float64) (Match, QueryStats, bool, error) {
 	var (
 		stats QueryStats
 		match Match
 		found bool
 	)
-	err := s.forEach(ses.Query(), &stats, cc, func(slot int32) bool {
+	err := s.forEach(p, &stats, cc, &found, func(slot int32) bool {
 		if sim, ok := ses.AtLeast(&s.packed, s.vecs, slot, threshold); ok {
 			match = Match{ID: s.ext[slot], Similarity: sim}
 			found = true
@@ -779,13 +817,21 @@ func (s *SegmentedIndex) QueryBestWith(ses *verify.Session) (Match, QueryStats, 
 // QueryBestWithContext is QueryBestWith with cooperative cancellation
 // (see QueryWithContext for the contract).
 func (s *SegmentedIndex) QueryBestWithContext(ctx context.Context, ses *verify.Session) (Match, QueryStats, bool, error) {
+	p := s.eng.plan(ses.Query())
+	defer s.eng.release(p)
+	return s.QueryBestPlan(lsf.NewCancelCheck(ctx), p, ses)
+}
+
+// QueryBestPlan is QueryBestWithContext over a caller-built plan and
+// checkpoint (see QueryPlan).
+func (s *SegmentedIndex) QueryBestPlan(cc *lsf.CancelCheck, p *Plan, ses *verify.Session) (Match, QueryStats, bool, error) {
 	var (
 		stats QueryStats
 		match Match
 		found bool
 	)
 	best := -1.0
-	err := s.forEach(ses.Query(), &stats, lsf.NewCancelCheck(ctx), func(slot int32) bool {
+	err := s.forEach(p, &stats, cc, &found, func(slot int32) bool {
 		if sim, ok := ses.MoreThan(&s.packed, s.vecs, slot, best); ok {
 			best = sim
 			match = Match{ID: s.ext[slot], Similarity: sim}
@@ -818,14 +864,26 @@ func (s *SegmentedIndex) TopKWith(ses *verify.Session, k int) ([]Match, QuerySta
 // QueryWithContext for the contract). A canceled top-k returns the
 // ranked prefix gathered so far alongside the error.
 func (s *SegmentedIndex) TopKWithContext(ctx context.Context, ses *verify.Session, k int) ([]Match, QueryStats, error) {
+	p := s.eng.plan(ses.Query())
+	defer s.eng.release(p)
+	return s.TopKPlan(lsf.NewCancelCheck(ctx), p, ses, k)
+}
+
+// TopKPlan is TopKWithContext over a caller-built plan and checkpoint
+// (see QueryPlan).
+func (s *SegmentedIndex) TopKPlan(cc *lsf.CancelCheck, p *Plan, ses *verify.Session, k int) ([]Match, QueryStats, error) {
 	var stats QueryStats
 	if k <= 0 {
 		return nil, stats, nil
 	}
-	var matches []Match
-	err := s.forEach(ses.Query(), &stats, lsf.NewCancelCheck(ctx), func(slot int32) bool {
+	var (
+		matches []Match
+		found   bool
+	)
+	err := s.forEach(p, &stats, cc, &found, func(slot int32) bool {
 		if sim := ses.Similarity(&s.packed, s.vecs, slot); sim > 0 {
 			matches = append(matches, Match{ID: s.ext[slot], Similarity: sim})
+			found = true
 		}
 		return true
 	})
@@ -845,23 +903,28 @@ func (s *SegmentedIndex) TopKWithContext(ctx context.Context, ses *verify.Sessio
 // snapshot — run joins with writes paused (queries are fine).
 func (s *SegmentedIndex) Candidates(q bitvec.Vector) []int32 {
 	var out []int32
-	var stats QueryStats
-	s.forEach(q, &stats, nil, func(slot int32) bool {
-		out = append(out, slot)
-		return true
-	})
+	s.candidates(q, func(slot int32) { out = append(out, slot) })
 	return out
 }
 
 // CandidatesExt is Candidates in the external id space, with stats.
 func (s *SegmentedIndex) CandidatesExt(q bitvec.Vector) ([]int64, QueryStats) {
 	var out []int64
+	stats := s.candidates(q, func(slot int32) { out = append(out, s.ext[slot]) })
+	return out, stats
+}
+
+// candidates streams q's candidate slots into add. Candidate sets never
+// fall back to a scan: they are the filters' answer, as in core.
+func (s *SegmentedIndex) candidates(q bitvec.Vector, add func(slot int32)) QueryStats {
+	p := s.eng.plan(q)
+	defer s.eng.release(p)
 	var stats QueryStats
-	s.forEach(q, &stats, nil, func(slot int32) bool {
-		out = append(out, s.ext[slot])
+	s.forEach(p, &stats, nil, nil, func(slot int32) bool {
+		add(slot)
 		return true
 	})
-	return out, stats
+	return stats
 }
 
 // Data returns the slot-indexed vector table (dead slots keep their

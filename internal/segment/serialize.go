@@ -74,7 +74,7 @@ func (s *SegmentedIndex) WriteSnapshot(w io.Writer) (int64, error) {
 	if err := write(snapMagic); err != nil {
 		return n, err
 	}
-	if err := write(uint32(len(s.engines))); err != nil {
+	if err := write(uint32(len(s.eng.reps))); err != nil {
 		return n, err
 	}
 	if err := write(s.nextAuto); err != nil {
@@ -148,8 +148,8 @@ func ReadSnapshot(r io.Reader, cfg Config) (*SegmentedIndex, error) {
 	if err := binary.Read(br, binary.LittleEndian, &reps); err != nil {
 		return nil, fmt.Errorf("segment: reading header: %w", err)
 	}
-	if int(reps) != len(s.engines) {
-		return nil, fmt.Errorf("segment: snapshot has %d repetitions, config %d", reps, len(s.engines))
+	if int(reps) != len(s.eng.reps) {
+		return nil, fmt.Errorf("segment: snapshot has %d repetitions, config %d", reps, len(s.eng.reps))
 	}
 	if err := binary.Read(br, binary.LittleEndian, &nextAuto); err != nil {
 		return nil, fmt.Errorf("segment: reading header: %w", err)
@@ -200,7 +200,7 @@ func ReadSnapshot(r io.Reader, cfg Config) (*SegmentedIndex, error) {
 		}
 		seg := &frozenSeg{
 			slots: make([]int32, count),
-			reps:  make([]*lsf.Index, len(s.engines)),
+			reps:  make([]*lsf.Index, len(s.eng.reps)),
 		}
 		data := make([]bitvec.Vector, count)
 		for i := uint32(0); i < count; i++ {
@@ -216,7 +216,7 @@ func ReadSnapshot(r io.Reader, cfg Config) (*SegmentedIndex, error) {
 			data[i] = v
 		}
 		for ri := range seg.reps {
-			ix, err := lsf.ReadIndexFrom(br, s.engines[ri], data)
+			ix, err := lsf.ReadIndexFrom(br, s.eng.reps[ri], data)
 			if err != nil {
 				return nil, fmt.Errorf("segment: segment %d repetition %d: %w", gi, ri, err)
 			}

@@ -369,9 +369,9 @@ func parseSegContainer(b []byte, wantReps int, decodeVecs bool) (*segContainer, 
 // as zero-copy cold indexes over data (the segment's local vector
 // slice). Used by demotion and the initial cold load.
 func (s *SegmentedIndex) openSegReps(c *segContainer, data []bitvec.Vector) ([]*lsf.Index, error) {
-	reps := make([]*lsf.Index, len(s.engines))
+	reps := make([]*lsf.Index, len(s.eng.reps))
 	for r := range reps {
-		ix, err := lsf.OpenFrozenBytes(c.repBlobs[r], s.engines[r], data, true)
+		ix, err := lsf.OpenFrozenBytes(c.repBlobs[r], s.eng.reps[r], data, true)
 		if err != nil {
 			return nil, err
 		}
@@ -446,7 +446,7 @@ func (s *SegmentedIndex) loadSegFile(path string, seq uint64, dead map[int64]boo
 			m.Close()
 		}
 	}()
-	c, err := parseSegContainer(m.Data(), len(s.engines), true)
+	c, err := parseSegContainer(m.Data(), len(s.eng.reps), true)
 	if err != nil {
 		return fmt.Errorf("segment: %s: %w", filepath.Base(path), err)
 	}
@@ -555,7 +555,7 @@ func (s *SegmentedIndex) demoteSeg(g *frozenSeg) {
 	var reps []*lsf.Index
 	if err == nil {
 		var c *segContainer
-		c, err = parseSegContainer(m.Data(), len(s.engines), false)
+		c, err = parseSegContainer(m.Data(), len(s.eng.reps), false)
 		if err == nil {
 			reps, err = s.openSegReps(c, g.reps[0].Data())
 		}
@@ -590,12 +590,12 @@ func (s *SegmentedIndex) demoteSeg(g *frozenSeg) {
 // Worker goroutine only.
 func (s *SegmentedIndex) promoteSeg(g *frozenSeg) {
 	t0 := time.Now()
-	c, err := parseSegContainer(g.mapping.Data(), len(s.engines), false)
-	reps := make([]*lsf.Index, len(s.engines))
+	c, err := parseSegContainer(g.mapping.Data(), len(s.eng.reps), false)
+	reps := make([]*lsf.Index, len(s.eng.reps))
 	if err == nil {
 		data := g.reps[0].Data()
 		for r := range reps {
-			if reps[r], err = lsf.OpenFrozenBytes(c.repBlobs[r], s.engines[r], data, false); err != nil {
+			if reps[r], err = lsf.OpenFrozenBytes(c.repBlobs[r], s.eng.reps[r], data, false); err != nil {
 				break
 			}
 		}

@@ -520,7 +520,7 @@ func BenchmarkSegfileOpen(b *testing.B) {
 		}
 		s.Flush()
 		s.WaitIdle()
-		engines := s.engines
+		engines := s.eng.reps
 		s.Close()
 		ents, _ := os.ReadDir(dir)
 		if len(ents) != 1 {

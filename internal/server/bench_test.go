@@ -8,11 +8,14 @@ import (
 )
 
 // BenchmarkShardFanout measures query fan-out cost across shard counts
-// over a fixed corpus: the per-query price of partitioning (each shard
-// recomputes F(q)) against the smaller per-shard candidate sets and the
-// parallel walk. The mode=first runs are the thin-query side: planted
-// queries over the sparse-first shape, where the first hit stops the
-// other shards — filters/op is the work the fan-out did not skip.
+// over a fixed corpus: the per-query price of partitioning (a probe per
+// shard and a merge) against the smaller per-shard candidate sets and
+// the parallel walk. F(q) is planned once per request and shared by
+// every shard, so filtergen/op — (query, repetition) filter sets
+// generated — stays at the repetition count in mode best. The
+// mode=first runs are the thin-query side: planted queries over the
+// sparse-first shape, where the first hit stops the other shards —
+// filters/op is the work the fan-out did not skip.
 func BenchmarkShardFanout(b *testing.B) {
 	const n = 4096
 	data := testData(n)
@@ -32,11 +35,14 @@ func BenchmarkShardFanout(b *testing.B) {
 			srv.Flush()
 			srv.WaitIdle()
 			m := bitvec.BraunBlanquetMeasure
+			filtergen, restore := countFilterGen()
+			defer restore()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				srv.QueryBest(qs[i%len(qs)], m)
 			}
+			b.ReportMetric(float64(filtergen.Load())/float64(b.N), "filtergen/op")
 		})
 	}
 	for _, shards := range []int{1, 2, 4} {
@@ -45,6 +51,8 @@ func BenchmarkShardFanout(b *testing.B) {
 			srv := loadFrozen(b, cfg, cw.Data)
 			m := bitvec.BraunBlanquetMeasure
 			filters := 0
+			filtergen, restore := countFilterGen()
+			defer restore()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -52,6 +60,7 @@ func BenchmarkShardFanout(b *testing.B) {
 				filters += stats.Filters
 			}
 			b.ReportMetric(float64(filters)/float64(b.N), "filters/op")
+			b.ReportMetric(float64(filtergen.Load())/float64(b.N), "filtergen/op")
 		})
 	}
 }

@@ -127,15 +127,17 @@ type shardWork func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex)
 // then reads exactly abandoned finished the last and inherits the release.
 const abandoned = 1 << 30
 
-// fanRun is one request's fan-out: the request, the claim counter the
-// caller and its helpers share, and a result slot per shard. Runs are
-// pooled per server and recycled only when the last goroutine holding
-// one lets go (refs), so an abandoned helper never sees its run reused.
+// fanRun is one request's fan-out: the request and its query plan, the
+// claim counter the caller and its helpers share, and a result slot per
+// shard. Runs are pooled per server and recycled only when the last
+// goroutine holding one lets go (refs), so an abandoned helper never
+// sees its run — or the plan it may still be reading — reused.
 type fanRun struct {
 	s          *Server
 	ctx        context.Context
 	work       shardWork
 	sess       []*verify.Session // one per query
+	plan       *segment.Plan     // the queries' filter sets, shared by every shard
 	threshold  float64
 	thresholds []float64
 	k          int
@@ -156,12 +158,13 @@ func (s *Server) begin(ctx context.Context, m bitvec.Measure, qs ...bitvec.Vecto
 	}
 	r, _ := s.runs.Get().(*fanRun)
 	if r == nil {
-		r = &fanRun{s: s, wake: make(chan struct{}, 1), slots: make([]shardSlot, len(s.shards))}
+		r = &fanRun{s: s, wake: make(chan struct{}, 1), slots: make([]shardSlot, len(s.shards)), plan: segment.NewPlan(s.eng)}
 	}
 	r.ctx = ctx
 	for _, q := range qs {
 		r.sess = append(r.sess, verify.Acquire(m, q))
 	}
+	r.plan.Reset(qs...)
 	return r, nil
 }
 
@@ -182,6 +185,7 @@ func (r *fanRun) unref() {
 	}
 	clear(r.sess)
 	r.ctx, r.work, r.thresholds, r.sess = nil, nil, nil, r.sess[:0]
+	r.plan.Reset()
 	r.stop.Store(false)
 	r.s.runs.Put(r)
 }
@@ -320,7 +324,7 @@ func (r *fanRun) fanOut(work shardWork) *Fanout {
 // or zero shards answered).
 func (s *Server) QueryContext(ctx context.Context, q bitvec.Vector, threshold float64, m bitvec.Measure) (segment.Match, segment.QueryStats, bool, *Fanout) {
 	return s.single(ctx, q, m, threshold, func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
-		sl.match, sl.stats, sl.found, sl.err = sh.QueryWithCheck(lsf.NewStopCheck(r.ctx, &r.stop), r.sess[0], r.threshold)
+		sl.match, sl.stats, sl.found, sl.err = sh.QueryPlan(lsf.NewStopCheck(r.ctx, &r.stop), r.plan, r.sess[0], r.threshold)
 		if sl.found {
 			r.stop.Store(true)
 		}
@@ -331,7 +335,7 @@ func (s *Server) QueryContext(ctx context.Context, q bitvec.Vector, threshold fl
 // every shard runs to its end).
 func (s *Server) QueryBestContext(ctx context.Context, q bitvec.Vector, m bitvec.Measure) (segment.Match, segment.QueryStats, bool, *Fanout) {
 	return s.single(ctx, q, m, 0, func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
-		sl.match, sl.stats, sl.found, sl.err = sh.QueryBestWithContext(r.ctx, r.sess[0])
+		sl.match, sl.stats, sl.found, sl.err = sh.QueryBestPlan(lsf.NewCancelCheck(r.ctx), r.plan, r.sess[0])
 	})
 }
 
@@ -377,7 +381,7 @@ func (s *Server) TopKContext(ctx context.Context, q bitvec.Vector, k int, m bitv
 	defer r.unref()
 	r.k = k
 	f = r.fanOut(func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
-		sl.list, sl.stats, sl.err = sh.TopKWithContext(r.ctx, r.sess[0], r.k)
+		sl.list, sl.stats, sl.err = sh.TopKPlan(lsf.NewCancelCheck(r.ctx), r.plan, r.sess[0], r.k)
 	})
 	var agg segment.QueryStats
 	var all []segment.Match
@@ -409,7 +413,7 @@ func (s *Server) SearchBatchContext(ctx context.Context, qs []bitvec.Vector, thr
 	defer r.unref()
 	r.thresholds = thresholds
 	f = r.fanOut(func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
-		sl.batch, sl.stats, sl.err = sh.SearchBatchContext(r.ctx, r.sess, r.thresholds)
+		sl.batch, sl.stats, sl.err = sh.SearchBatchPlan(lsf.NewCancelCheck(r.ctx), r.plan, r.sess, r.thresholds)
 	})
 	out := make([]segment.BatchResult, len(qs))
 	var agg segment.QueryStats

@@ -30,8 +30,8 @@ import (
 // (first candidate at or above "threshold"), "topk" ("k" most similar).
 // "measure" names a similarity measure (bitvec.ParseMeasure);
 // Braun-Blanquet — the paper's — when omitted. Batch search runs the
-// amortizing batch executor (one filter generation and one segment
-// pass per shard for the whole batch) and supports modes "best" and
+// amortizing batch executor (one filter generation for the whole batch
+// and one segment pass per shard) and supports modes "best" and
 // "first"; in batch form "first" returns each query's best match at or
 // above the threshold, deterministically (ties to the lowest id).
 

@@ -34,9 +34,10 @@ type Config struct {
 	// calling goroutine counts as one) and the batch-insert pool
 	// (<= 0 selects GOMAXPROCS; always clamped to the shard count).
 	Workers int
-	// Segment configures every shard (same engines everywhere — a
-	// query's filter set is computed per shard against identical
-	// parameters, so shard placement never changes results).
+	// Segment configures every shard. The repetition engines are built
+	// once from its Params and every shard runs on them, so a request's
+	// filter sets are computed once and shared by every shard (see
+	// segment.Plan), and shard placement never changes results.
 	Segment segment.Config
 	// WALDir, when non-empty, makes the server durable: each shard
 	// journals to a write-ahead log under WALDir/shard-NNN, New recovers
@@ -89,6 +90,7 @@ type Config struct {
 // Server is a sharded segmented index. Safe for concurrent use.
 type Server struct {
 	shards  []*segment.SegmentedIndex
+	eng     *segment.Engines // shared by every shard: one query plan serves all
 	workers int
 	gate    *gate     // query admission; nil admits everything
 	metrics *Metrics  // nil when uninstrumented
@@ -117,9 +119,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: Shards %d must be >= 1", cfg.Shards)
 	}
 	s := &Server{workers: cfg.Workers, gate: configGate(cfg), metrics: cfg.Metrics}
-	if cfg.Metrics != nil {
-		cfg.Segment.Metrics = cfg.Metrics.Segment
-		cfg.WAL.Metrics = cfg.Metrics.WAL
+	if err := s.configure(&cfg); err != nil {
+		return nil, err
 	}
 	for i := 0; i < k; i++ {
 		sh, err := newShard(cfg, i)
@@ -140,6 +141,21 @@ func New(cfg Config) (*Server, error) {
 		cfg.Metrics.registerServerGauges(s)
 	}
 	return s, nil
+}
+
+// configure threads the server's instruments and its one set of
+// repetition engines into the shard config.
+func (s *Server) configure(cfg *Config) error {
+	if cfg.Metrics != nil {
+		cfg.Segment.Metrics = cfg.Metrics.Segment
+		cfg.WAL.Metrics = cfg.Metrics.WAL
+	}
+	eng, err := segment.NewEngines(cfg.Segment)
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
+	s.eng, cfg.Segment.Engines = eng, eng
+	return nil
 }
 
 // newShard builds shard i: a bare segmented index with neither WALDir
@@ -330,11 +346,12 @@ func (s *Server) QueryBest(q bitvec.Vector, m bitvec.Measure) (segment.Match, se
 // executor: each query is packed into a verify session exactly once,
 // the sessions are fanned out to every shard together (sessions are
 // read-only during verification, so the concurrent fan-out is safe),
-// and each shard runs one segment.SearchBatch pass — one read lock,
-// one filter generation per repetition, each frozen segment visited
-// once per batch in posting-array order. thresholds selects the
-// semantics exactly as in segment.SearchBatch: nil means best-match
-// per query, otherwise thresholds[k] is query k's minimum similarity.
+// one filter generation per (query, repetition) serves every shard, and
+// each shard runs one segment.SearchBatch pass — one read lock, each
+// frozen segment visited once per batch in posting-array order.
+// thresholds selects the semantics exactly as in segment.SearchBatch:
+// nil means best-match per query, otherwise thresholds[k] is query k's
+// minimum similarity.
 // Per query, shard winners aggregate by similarity desc, id asc — the
 // same deterministic rule QueryBest uses.
 func (s *Server) SearchBatch(qs []bitvec.Vector, thresholds []float64, m bitvec.Measure) ([]segment.BatchResult, segment.QueryStats) {
@@ -478,9 +495,8 @@ func ReadSnapshot(r io.Reader, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: snapshot has %d shards, config %d", shards, k)
 	}
 	s := &Server{workers: cfg.Workers, gate: configGate(cfg), metrics: cfg.Metrics, next: int64(next)}
-	if cfg.Metrics != nil {
-		cfg.Segment.Metrics = cfg.Metrics.Segment
-		cfg.WAL.Metrics = cfg.Metrics.WAL
+	if err := s.configure(&cfg); err != nil {
+		return nil, err
 	}
 	ok := false
 	defer func() {
