@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -177,10 +178,19 @@ func checkWithin(news map[string]result, pairs string, max float64) bool {
 }
 
 // valueOf resolves a -within side: a benchmark name (its ns/op) or
-// `name:metric` (one of its custom metrics).
+// `name:metric` (one of its custom metrics). The name also matches the
+// record's name with the -GOMAXPROCS suffix `go test` appends when
+// GOMAXPROCS is not 1.
 func valueOf(news map[string]result, ref string) (float64, bool) {
 	name, metric, has := strings.Cut(ref, ":")
 	r, ok := news[name]
+	for n, cand := range news {
+		if procs, found := strings.CutPrefix(n, name+"-"); !ok && found {
+			if _, err := strconv.Atoi(procs); err == nil {
+				r, ok = cand, true
+			}
+		}
+	}
 	if !ok {
 		return 0, false
 	}

@@ -140,48 +140,39 @@ func TestVisitedEpochWraparound(t *testing.T) {
 }
 
 // TestBucketCollisionChaining simulates two distinct paths landing on the
-// same 64-bit key: the builder's chain and the frozen open-addressing
-// table must keep their posting lists separate, for both incremental
-// inserts and post-freeze lookups.
+// same 64-bit key: the builder's open-addressing table and the frozen
+// index's (the same table, handed over) must keep their posting lists
+// separate, for both incremental inserts and post-freeze lookups.
 func TestBucketCollisionChaining(t *testing.T) {
 	e, data := parallelTestEngine(t, 10)
-	bld := newIndexBuilder(e, data)
 	pathA := []uint32{1, 2, 3}
 	pathB := []uint32{7, 8} // any other path; we force the collision below
-
-	// Plant B's bucket under A's hash, as if hashPath had collided.
 	hA := HashPath(pathA)
-	bld.keys = append(bld.keys, hA)
-	bld.chain = append(bld.chain, -1)
-	bld.byHash[hA] = 0
-	bld.pathSpans = append(bld.pathSpans, Span{Off: 0, Len: uint32(len(pathB))})
-	bld.pathElems = append(bld.pathElems, pathB...)
-	bld.postings = append(bld.postings, posting{bucket: 0, id: 5})
 
-	// insert(A) must walk the chain, see the path mismatch, and open a
-	// fresh bucket instead of contaminating B's ids.
-	bld.insert(pathA, 1)
-	bld.insert(pathA, 2)
-	ix := bld.freeze()
-	// The frozen probe for A must step past B's slot (same key, different
-	// path) and land on A's bucket.
-	if ids := ix.postings(pathA); len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Fatalf("postings(A) = %v, want [1 2]", ids)
-	}
-	// B is only reachable through its bucket number (its planted key is
-	// A's hash, not HashPath(B)); read the arenas directly to confirm it
-	// survived untouched.
-	var viaBucket []int32
-	for b := range ix.pathSpans {
-		if pathsEqual(ix.bucketPath(int32(b)), pathB) {
-			viaBucket = ix.bucketIDs(int32(b))
+	for _, live := range []bool{false, true} {
+		// Plant B's bucket under A's key, as if HashPath had collided.
+		bld := newBuilder(e, live)
+		bld.AddBucket(hA, pathB, []int32{5})
+		// Inserting A must probe past B's slot (same key, different path)
+		// and open a fresh bucket instead of contaminating B's ids.
+		bld.AddBucket(hA, pathA, []int32{1})
+		bld.AddBucket(hA, pathA, []int32{2})
+		if got := len(bld.pathSpans); got != 2 {
+			t.Fatalf("live=%v: builder bucket count = %d, want 2", live, got)
 		}
-	}
-	if len(viaBucket) != 1 || viaBucket[0] != 5 {
-		t.Fatalf("collided bucket B = %v, want [5]", viaBucket)
-	}
-	if got := len(ix.pathSpans); got != 2 {
-		t.Fatalf("bucket count = %d, want 2", got)
+		ix := bld.Freeze(data)
+		// The frozen probe for A must step past B's slot and land on A's
+		// bucket; B stays reachable under the key it was stored with.
+		if ids := ix.postings(pathA); len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
+			t.Fatalf("live=%v: postings(A) = %v, want [1 2]", live, ids)
+		}
+		r, ok := ix.PathRefHash(hA, pathB)
+		if ids := ix.RefIDs(r); !ok || len(ids) != 1 || ids[0] != 5 {
+			t.Fatalf("live=%v: collided bucket B = %v (found %v), want [5]", live, ids, ok)
+		}
+		if got := len(ix.pathSpans); got != 2 {
+			t.Fatalf("live=%v: bucket count = %d, want 2", live, got)
+		}
 	}
 }
 

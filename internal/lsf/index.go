@@ -2,7 +2,6 @@ package lsf
 
 import (
 	"errors"
-	"math"
 	"sync"
 
 	"skewsim/internal/bitvec"
@@ -13,7 +12,7 @@ import (
 // data vector it stores the list of vectors that chose it. Space is
 // linear in Σ_x |F(x)| plus the data itself.
 //
-// The index is frozen: construction goes through an indexBuilder, and the
+// The index is frozen: construction goes through a Builder, and the
 // finished structure is four flat arenas plus an open-addressing key
 // table — no per-bucket heap objects, no pointers for the GC to trace,
 // and traversal is pure array arithmetic:
@@ -167,29 +166,34 @@ func (ix *Index) postings(path []uint32) []int32 {
 // one full traversal per segment.
 func (ix *Index) Postings(path []uint32) []int32 { return ix.postings(path) }
 
-// ForEachBucket visits every (path, posting list) bucket of the frozen
-// index. Both slices are views into the arenas and must not be modified
-// or retained across calls. Bucket order is the internal bucket
-// numbering (first-insertion order), not sorted; callers needing a
-// deterministic order must sort (see WriteTo). This is the replay hook
-// segment compaction uses to merge frozen segments without recomputing
-// any filters.
-func (ix *Index) ForEachBucket(fn func(path []uint32, ids []int32)) {
-	if ix.cold != nil {
-		var scratch []int32
-		for b := range ix.pathSpans {
-			b := int32(b)
+// ForEachBucket visits every (key, path, posting list) bucket of the
+// frozen index, the key being the one the bucket is stored under in the
+// key table. Both slices are views into the arenas and must not be
+// modified or retained across calls. Bucket order is the internal
+// bucket numbering (first-insertion order, deterministic but not
+// sorted; WriteTo sorts by PathKey). This is the replay hook segment
+// compaction uses to merge frozen segments without recomputing any
+// filter or re-hashing any path.
+func (ix *Index) ForEachBucket(fn func(h uint64, path []uint32, ids []int32)) {
+	keys := make([]uint64, len(ix.pathSpans))
+	for slot, b := range ix.tableIdx {
+		if b >= 0 {
+			keys[b] = ix.tableKeys[slot]
+		}
+	}
+	var ids, scratch []int32
+	for b := range ix.pathSpans {
+		b := int32(b)
+		if ix.cold == nil {
+			ids = ix.bucketIDs(b)
+		} else {
 			var err error
 			if scratch, err = ix.appendColdBucket(scratch[:0], b); err != nil {
 				panic(err) // unreachable: validated at open
 			}
-			fn(ix.bucketPath(b), scratch)
+			ids = scratch
 		}
-		return
-	}
-	for b := range ix.pathSpans {
-		b := int32(b)
-		fn(ix.bucketPath(b), ix.bucketIDs(b))
+		fn(keys[b], ix.bucketPath(b), ids)
 	}
 }
 
@@ -202,158 +206,6 @@ type BuildStats struct {
 	Truncated    int // vectors whose filter sets hit the work budget
 }
 
-// posting is one (bucket, id) occurrence recorded during construction;
-// the freeze step counting-sorts these into the CSR arrays.
-type posting struct {
-	bucket int32
-	id     int32
-}
-
-// indexBuilder accumulates the mutable state of index construction: a
-// hash→bucket map with explicit collision chains, the (already final)
-// path arena, and a flat posting log. Everything is a handful of large
-// growable slices — the only per-bucket cost is one Span and one chain
-// link, not a heap object.
-type indexBuilder struct {
-	engine    *Engine
-	data      []bitvec.Vector
-	byHash    map[uint64]int32 // path hash -> head of bucket chain
-	chain     []int32          // per bucket: next bucket with same hash, -1 = end
-	keys      []uint64         // per bucket: path hash
-	pathSpans []Span
-	pathElems []uint32
-	postings  []posting
-
-	totalFilters   int
-	truncatedCount int
-}
-
-func newIndexBuilder(engine *Engine, data []bitvec.Vector) *indexBuilder {
-	return &indexBuilder{
-		engine: engine,
-		data:   data,
-		byHash: make(map[uint64]int32, len(data)*2),
-	}
-}
-
-// bucketFor returns the bucket number for path, creating it (and copying
-// the path into the arena) if new.
-func (b *indexBuilder) bucketFor(path []uint32) int32 {
-	h := HashPath(path)
-	head, ok := b.byHash[h]
-	if ok {
-		for bi := head; bi >= 0; bi = b.chain[bi] {
-			s := b.pathSpans[bi]
-			if pathsEqual(b.pathElems[s.Off:s.Off+s.Len], path) {
-				return bi
-			}
-		}
-	} else {
-		head = -1
-	}
-	bi := int32(len(b.keys))
-	b.keys = append(b.keys, h)
-	b.chain = append(b.chain, head)
-	b.byHash[h] = bi
-	if uint64(len(b.pathElems))+uint64(len(path)) > math.MaxUint32 {
-		// Span offsets are uint32; wrapping would silently alias earlier
-		// paths. Fail loudly — an index this size needs the sharded layout.
-		panic("lsf: path element arena exceeds 2^32 entries")
-	}
-	off := uint32(len(b.pathElems))
-	b.pathElems = append(b.pathElems, path...)
-	b.pathSpans = append(b.pathSpans, Span{Off: off, Len: uint32(len(path))})
-	return bi
-}
-
-// insert appends id to the bucket of path, creating the bucket as needed.
-// The path is copied into the arena, never retained.
-func (b *indexBuilder) insert(path []uint32, id int32) {
-	b.postings = append(b.postings, posting{bucket: b.bucketFor(path), id: id})
-}
-
-// insertBucket installs a whole posting list at once (the
-// deserialization path and the exported Builder). A repeated path
-// appends to its existing bucket, which is what segment compaction
-// relies on when the same path arrives from several source segments.
-func (b *indexBuilder) insertBucket(path []uint32, ids []int32) {
-	bi := b.bucketFor(path)
-	for _, id := range ids {
-		b.postings = append(b.postings, posting{bucket: bi, id: id})
-	}
-}
-
-// addFilterSet inserts one vector's filters, updating build statistics.
-func (b *indexBuilder) addFilterSet(id int32, fs *FilterSet) {
-	if fs.Truncated {
-		b.truncatedCount++
-	}
-	for k := 0; k < fs.Len(); k++ {
-		b.insert(fs.Path(k), id)
-	}
-	b.totalFilters += fs.Len()
-}
-
-// freeze counting-sorts the posting log into CSR form, builds the
-// open-addressing key table at load factor ≤ 1/2, and returns the
-// immutable index. Posting order within a bucket is insertion order
-// (the scatter below is stable), so results are identical to walking
-// the old chained buckets.
-func (b *indexBuilder) freeze() *Index {
-	nb := len(b.keys)
-	if uint64(len(b.postings)) > math.MaxUint32 {
-		// CSR offsets are uint32; see the matching guard in bucketFor.
-		panic("lsf: posting log exceeds 2^32 entries")
-	}
-	idOff := make([]uint32, nb+1)
-	for _, p := range b.postings {
-		idOff[p.bucket+1]++
-	}
-	for i := 0; i < nb; i++ {
-		idOff[i+1] += idOff[i]
-	}
-	ids := make([]int32, len(b.postings))
-	cursor := make([]uint32, nb)
-	copy(cursor, idOff[:nb])
-	for _, p := range b.postings {
-		ids[cursor[p.bucket]] = p.id
-		cursor[p.bucket]++
-	}
-
-	size := 4
-	for size < 2*nb {
-		size <<= 1
-	}
-	mask := uint64(size - 1)
-	tableKeys := make([]uint64, size)
-	tableIdx := make([]int32, size)
-	for i := range tableIdx {
-		tableIdx[i] = -1
-	}
-	for bi := 0; bi < nb; bi++ {
-		slot := b.keys[bi] & mask
-		for tableIdx[slot] >= 0 {
-			slot = (slot + 1) & mask
-		}
-		tableIdx[slot] = int32(bi)
-		tableKeys[slot] = b.keys[bi]
-	}
-
-	return &Index{
-		engine:         b.engine,
-		data:           b.data,
-		tableKeys:      tableKeys,
-		tableIdx:       tableIdx,
-		tableMask:      mask,
-		pathSpans:      b.pathSpans,
-		pathElems:      b.pathElems,
-		idOff:          idOff,
-		ids:            ids,
-		totalFilters:   b.totalFilters,
-		truncatedCount: b.truncatedCount,
-	}
-}
-
 // BuildIndex computes F(x) for every data vector and constructs the
 // inverted index. The data slice is retained (not copied). One FilterSet
 // arena is reused across all vectors, so filter generation allocates
@@ -362,14 +214,14 @@ func BuildIndex(engine *Engine, data []bitvec.Vector) (*Index, error) {
 	if engine == nil {
 		return nil, errors.New("lsf: nil engine")
 	}
-	b := newIndexBuilder(engine, data)
+	b := NewBuilder(engine)
 	var fs FilterSet
 	for id, x := range data {
 		fs.Reset()
 		engine.FiltersInto(x, &fs)
 		b.addFilterSet(int32(id), &fs)
 	}
-	return b.freeze(), nil
+	return b.Freeze(data), nil
 }
 
 // Stats returns construction statistics.

@@ -35,9 +35,9 @@ func BuildIndexParallel(engine *Engine, data []bitvec.Vector, workers int) (*Ind
 		engine.FiltersInto(data[id], &sets[id])
 	})
 
-	b := newIndexBuilder(engine, data)
+	b := NewBuilder(engine)
 	for id := range sets {
 		b.addFilterSet(int32(id), &sets[id])
 	}
-	return b.freeze(), nil
+	return b.Freeze(data), nil
 }

@@ -120,9 +120,8 @@ func ReadIndexFrom(r io.Reader, engine *Engine, data []bitvec.Vector) (*Index, e
 	if total > maxReasonable || buckets > maxReasonable {
 		return nil, fmt.Errorf("lsf: implausible header (total=%d buckets=%d)", total, buckets)
 	}
-	bld := newIndexBuilder(engine, data)
-	bld.totalFilters = int(total)
-	bld.truncatedCount = int(trunc)
+	bld := NewBuilder(engine)
+	bld.AddTruncated(int(trunc))
 	sum := uint64(0)
 	for b := uint64(0); b < buckets; b++ {
 		var keyLen uint32
@@ -161,12 +160,13 @@ func ReadIndexFrom(r io.Reader, engine *Engine, data []bitvec.Vector) (*Index, e
 			}
 		}
 		sum += uint64(idCount)
-		bld.insertBucket(pathFromKey(key), ids)
+		path := pathFromKey(key)
+		bld.AddBucket(HashPath(path), path, ids)
 	}
 	if sum != total {
 		return nil, fmt.Errorf("lsf: bucket ids sum to %d, header claims %d", sum, total)
 	}
-	return bld.freeze(), nil
+	return bld.Freeze(data), nil
 }
 
 // pathFromKey decodes a PathKey byte string back into its element path.

@@ -148,7 +148,7 @@ func (s *SegmentedIndex) SearchBatchPlan(cc *lsf.CancelCheck, p *Plan, sess []*v
 	for r := range s.eng.reps {
 		// The plan holds the whole batch's filter sets for this
 		// repetition, with one path hash per (query, filter) shared by
-		// every layer below: memtable bucket maps, segment bloom filters,
+		// every layer below: memtable key tables, segment bloom filters,
 		// and frozen key tables.
 		pr, err := p.await(r, cc)
 		if err != nil {
@@ -161,22 +161,19 @@ func (s *SegmentedIndex) SearchBatchPlan(cc *lsf.CancelCheck, p *Plan, sess []*v
 				stats.Truncated++
 			}
 		}
-		// Mutable layers: chained-bucket maps, probed per query in
+		// Mutable layers: live memtable builders, probed per query in
 		// filter order (they are small; blocking buys nothing here).
 		for k := range sess {
 			fs := &pr.fss[k]
+			emitK := func(slot int32) bool { emit(k, slot); return true }
 			for i, h := range pr.hashes[k] {
 				if cc != nil && cc.Check() {
 					return out, stats, cc.Err()
 				}
 				path := fs.Path(i)
-				for _, slot := range s.mem.reps[r].postingsHash(h, path) {
-					emit(k, slot)
-				}
+				s.mem.each(r, h, path, emitK)
 				for _, mt := range s.flushing {
-					for _, slot := range mt.reps[r].postingsHash(h, path) {
-						emit(k, slot)
-					}
+					mt.each(r, h, path, emitK)
 				}
 			}
 		}

@@ -169,3 +169,42 @@ func BenchmarkSegmentedInsert(b *testing.B) {
 	b.StopTimer()
 	s.WaitIdle()
 }
+
+// BenchmarkSegmentedFreeze measures freezing one full memtable (1024
+// vectors, 4 repetitions) into a frozen segment: the per-repetition
+// CSR build plus the segment's bloom filter. The memtable is filled
+// once and frozen every iteration — freezing leaves it untouched, as it
+// must for the queries that keep reading it while it flushes.
+func BenchmarkSegmentedFreeze(b *testing.B) {
+	d, err := dist.NewProduct(dist.Zipf(256, 0.5, 1.0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	params, err := core.EngineParams(core.Adversarial, d, 4096, 0.5, core.Options{Seed: 9, Repetitions: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{Params: params, N: 4096, MemtableSize: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	rng := hashing.NewSplitMix64(29)
+	for _, v := range d.SampleN(rng, 1024) {
+		if _, err := s.Insert(v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	mt := s.mem
+	s.rotateLocked()
+	s.flushing = nil // frozen below, by hand, not by the worker
+	s.mu.Unlock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if seg := s.buildSegment(mt); seg == nil || seg.size() != 1024 {
+			b.Fatal("freeze lost the memtable")
+		}
+	}
+}

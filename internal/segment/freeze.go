@@ -10,9 +10,12 @@ import (
 )
 
 // buildSegment freezes a rotated (immutable) memtable into a frozenSeg:
-// per repetition, the memtable's buckets replay into the lsf Builder
-// with local ids, so no filter is recomputed and the result is the same
-// CSR layout BuildIndex would produce over the memtable's vectors.
+// each repetition's live builder counting-sorts its postings (already
+// local ids) into CSR form over the memtable's vectors, keeping its key
+// table and path arenas — no bucket is replayed and no path re-hashed,
+// and bucket order is first sight, so equal insert sequences freeze to
+// equal segments. The memtable stays readable throughout: queries keep
+// probing it in the flushing list until the segment is installed.
 // Tombstoned vectors are kept (their postings reference local ids);
 // compaction reclaims them. Returns nil for an empty memtable.
 func (s *SegmentedIndex) buildSegment(mt *memtable) *frozenSeg {
@@ -30,28 +33,12 @@ func (s *SegmentedIndex) buildSegment(mt *memtable) *frozenSeg {
 		data[i] = s.vecs[slot]
 	}
 	s.mu.RUnlock()
-	local := make(map[int32]int32, len(mt.slots))
-	for i, slot := range mt.slots {
-		local[slot] = int32(i)
-	}
 	seg := &frozenSeg{
 		slots: slices.Clone(mt.slots),
 		reps:  make([]*lsf.Index, len(mt.reps)),
 	}
-	var lids []int32
-	for r := range mt.reps {
-		bl := lsf.NewBuilder(s.eng.reps[r], data)
-		for _, chain := range mt.reps[r].buckets {
-			for _, b := range chain {
-				lids = lids[:0]
-				for _, slot := range b.slots {
-					lids = append(lids, local[slot])
-				}
-				bl.AddBucket(b.path, lids)
-			}
-		}
-		bl.AddTruncated(mt.reps[r].truncated)
-		seg.reps[r] = bl.Freeze()
+	for r, bl := range mt.reps {
+		seg.reps[r] = bl.Freeze(data)
 	}
 	seg.bloom = buildSegBloom(seg.reps)
 	seg.arenaBytes = segArenaBytes(seg.reps)
@@ -59,20 +46,27 @@ func (s *SegmentedIndex) buildSegment(mt *memtable) *frozenSeg {
 }
 
 // mergeSegments compacts two frozen segments into one, replaying both
-// CSR indexes' buckets (lsf.ForEachBucket — again no filter is
-// recomputed) while dropping every posting of a tombstoned vector; the
-// merged data slice holds live vectors only, which is where Delete's
-// space is finally reclaimed. The alive snapshot is taken once up
-// front: a Delete racing the merge lands in the global tombstone array
-// and stays masked at query time, so it is reclaimed by a later merge
-// instead of this one. Returns nil when nothing is live.
+// CSR indexes' buckets under their stored keys (lsf.ForEachBucket —
+// again no filter is recomputed and no path re-hashed) while dropping
+// every posting of a tombstoned vector; the merged data slice holds
+// live vectors only, which is where Delete's space is finally
+// reclaimed. The alive snapshot is taken once up front: a Delete racing
+// the merge lands in the global tombstone array and stays masked at
+// query time, so it is reclaimed by a later merge instead of this one.
+// Returns nil when nothing is live.
 func (s *SegmentedIndex) mergeSegments(a, b *frozenSeg) *frozenSeg {
 	srcs := []*frozenSeg{a, b}
+	// remap[i][lid] is source i's local id lid in the merged segment,
+	// or -1 for a tombstoned vector.
+	remap := make([][]int32, len(srcs))
 	var slots []int32
 	s.mu.RLock()
-	for _, g := range srcs {
-		for _, slot := range g.slots {
+	for i, g := range srcs {
+		remap[i] = make([]int32, len(g.slots))
+		for lid, slot := range g.slots {
+			remap[i][lid] = -1
 			if s.alive[slot] {
+				remap[i][lid] = int32(len(slots))
 				slots = append(slots, slot)
 			}
 		}
@@ -85,29 +79,25 @@ func (s *SegmentedIndex) mergeSegments(a, b *frozenSeg) *frozenSeg {
 	if len(slots) == 0 {
 		return nil
 	}
-	local := make(map[int32]int32, len(slots))
-	for i, slot := range slots {
-		local[slot] = int32(i)
-	}
 	merged := &frozenSeg{slots: slots, reps: make([]*lsf.Index, len(a.reps))}
 	var lids []int32
 	for r := range merged.reps {
-		bl := lsf.NewBuilder(s.eng.reps[r], data)
-		for _, g := range srcs {
-			g.reps[r].ForEachBucket(func(path []uint32, ids []int32) {
+		bl := lsf.NewBuilder(s.eng.reps[r])
+		for i, g := range srcs {
+			g.reps[r].ForEachBucket(func(h uint64, path []uint32, ids []int32) {
 				lids = lids[:0]
 				for _, lid := range ids {
-					if nl, ok := local[g.slots[lid]]; ok {
+					if nl := remap[i][lid]; nl >= 0 {
 						lids = append(lids, nl)
 					}
 				}
 				if len(lids) > 0 {
-					bl.AddBucket(path, lids)
+					bl.AddBucket(h, path, lids)
 				}
 			})
 			bl.AddTruncated(g.reps[r].Stats().Truncated)
 		}
-		merged.reps[r] = bl.Freeze()
+		merged.reps[r] = bl.Freeze(data)
 	}
 	merged.bloom = buildSegBloom(merged.reps)
 	merged.arenaBytes = segArenaBytes(merged.reps)

@@ -1,25 +1,29 @@
 package segment
 
 import (
-	"slices"
-
 	"skewsim/internal/lsf"
 )
 
-// memtable is the mutable head of a SegmentedIndex: the pre-freeze
-// chained-bucket map index the library used before the CSR layout, kept
-// exactly because its strength is the opposite of the frozen arenas' —
-// O(1) inserts, no rebuild — and its weakness (pointer-chasing, per-
-// bucket heap objects) is bounded by the small memtable size. One
-// memtable holds one bucket map per repetition engine plus the slots it
-// covers, in insertion order. A memtable is mutated only while it is the
-// active head (under the index write lock); once rotated into the
-// flushing list it is immutable and safe to read without coordination.
+// hashPath is the bucket key of every layer: memtable builders, frozen
+// key tables, bloom filters and query plans all key on it, and frozen
+// segments keep the key they were built with (compaction replays stored
+// keys). It is a variable only so tests can force key collisions.
+var hashPath = lsf.HashPath
+
+// memtable is the mutable head of a SegmentedIndex: one live lsf
+// Builder per repetition engine — the open-addressed, pointer-free
+// layout of a frozen segment, growing in append mode and answering
+// lookups through per-bucket posting links — plus the slots it covers,
+// in insertion order. Postings carry local ids (positions in slots), so
+// freezing is the builder's counting sort over the same arenas: no
+// replay, no re-hash, no id remap. A memtable is mutated only while it
+// is the active head (under the index write lock); once rotated into
+// the flushing list it is immutable and safe to read without
+// coordination, including while its segment is being frozen.
 type memtable struct {
-	reps []memRep
+	reps []*lsf.Builder
 	// slots are the index-wide slot numbers of the vectors in this
-	// memtable, in insertion order. Freezing assigns local ids by
-	// position in this slice.
+	// memtable, in insertion order; a posting's local id indexes it.
 	slots []int32
 	// rotLSN is the WAL high-water mark captured when the memtable
 	// rotated into the freeze queue: every insert in this or an earlier
@@ -29,54 +33,51 @@ type memtable struct {
 	rotLSN uint64
 }
 
-func newMemtable(reps int) *memtable {
-	mt := &memtable{reps: make([]memRep, reps)}
-	for r := range mt.reps {
-		mt.reps[r].buckets = make(map[uint64][]mbucket)
+// newMemtable starts an empty memtable over eng. prev, when non-nil, is
+// the memtable it replaces: the new one reserves prev's sizes, since
+// memtables fill to the same vector count.
+func newMemtable(eng *Engines, prev *memtable) *memtable {
+	mt := &memtable{reps: make([]*lsf.Builder, len(eng.reps))}
+	for r, e := range eng.reps {
+		mt.reps[r] = lsf.NewLiveBuilder(e)
+		if prev != nil {
+			mt.reps[r].Reserve(prev.reps[r])
+		}
+	}
+	if prev != nil {
+		mt.slots = make([]int32, 0, len(prev.slots))
 	}
 	return mt
 }
 
-// memRep is one repetition's bucket map: path hash → chain of buckets,
-// with path equality verified per bucket so hash collisions stay
-// correct (the same contract as the frozen key table).
-type memRep struct {
-	buckets   map[uint64][]mbucket
-	truncated int // vectors whose filter generation hit the work budget
-}
-
-type mbucket struct {
-	path  []uint32
-	slots []int32
-}
-
-// add appends slot to the bucket of path, creating it (and copying the
-// path — callers pass views into reused filter arenas) on first sight.
-func (m *memRep) add(path []uint32, slot int32) {
-	h := lsf.HashPath(path)
-	chain := m.buckets[h]
-	for i := range chain {
-		if slices.Equal(chain[i].path, path) {
-			chain[i].slots = append(chain[i].slots, slot)
-			return
+// add appends slot's filters (one set per repetition) under the next
+// local id.
+func (mt *memtable) add(slot int32, fss []*lsf.FilterSet) {
+	lid := int32(len(mt.slots))
+	for r, fs := range fss {
+		bl := mt.reps[r]
+		if fs.Truncated {
+			bl.AddTruncated(1)
+		}
+		for k := 0; k < fs.Len(); k++ {
+			path := fs.Path(k)
+			bl.Add(hashPath(path), path, lid)
 		}
 	}
-	m.buckets[h] = append(chain, mbucket{path: slices.Clone(path), slots: []int32{slot}})
+	mt.slots = append(mt.slots, slot)
 }
 
-// postings returns the slots sharing the exact path, or nil.
-func (m *memRep) postings(path []uint32) []int32 {
-	return m.postingsHash(lsf.HashPath(path), path)
-}
-
-// postingsHash is postings with the path hash precomputed — the
-// traversal hashes each path once and reuses it across every memtable
-// layer, frozen key table, and segment bloom filter.
-func (m *memRep) postingsHash(h uint64, path []uint32) []int32 {
-	for _, b := range m.buckets[h] {
-		if slices.Equal(b.path, path) {
-			return b.slots
+// each streams the slots of path's bucket (key h) in repetition r into
+// fn, in insertion order, until fn returns false; it reports whether fn
+// never did.
+func (mt *memtable) each(r int, h uint64, path []uint32, fn func(slot int32) bool) bool {
+	bl := mt.reps[r]
+	for p := bl.Lookup(h, path); p >= 0; {
+		var lid int32
+		lid, p = bl.Posting(p)
+		if !fn(mt.slots[lid]) {
+			return false
 		}
 	}
-	return nil
+	return true
 }

@@ -73,7 +73,7 @@ const (
 type planRep struct {
 	state  atomic.Int32
 	fss    []lsf.FilterSet // per query
-	hashes [][]uint64      // per query, lsf.HashPath of each filter
+	hashes [][]uint64      // per query, hashPath of each filter
 }
 
 // Plan is one request's query plan: for each repetition, the filter
@@ -171,7 +171,7 @@ func (p *Plan) compute(r int, cc *lsf.CancelCheck) bool {
 		}
 		h := pr.hashes[k][:0]
 		for i := 0; i < fs.Len(); i++ {
-			h = append(h, lsf.HashPath(fs.Path(i)))
+			h = append(h, hashPath(fs.Path(i)))
 		}
 		pr.hashes[k] = h
 	}

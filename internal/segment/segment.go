@@ -1,11 +1,12 @@
 // Package segment turns the library's build-once indexes (the paper's
 // §4 structure, static by construction) into an online serving
 // structure: a SegmentedIndex accepts Insert/Delete while answering
-// queries, LSM-style. Writes land in a small mutable memtable
-// (the chained-bucket map index); full memtables rotate into a flushing
-// list and a background worker freezes them into immutable CSR segments
-// (the frozen arenas of internal/lsf, via its segment-facing Builder);
-// a compaction pass merges small segments and physically drops
+// queries, LSM-style. Writes land in a small mutable memtable (one
+// live lsf.Builder per repetition: the frozen layout's own pointer-free
+// arenas, growing in append mode); full memtables rotate into a
+// flushing list and a background worker freezes them into immutable
+// CSR segments by one counting sort over those arenas (no replay, no
+// re-hash); a compaction pass merges small segments and physically drops
 // tombstoned vectors. Queries take F(q) per repetition engine from a
 // query Plan (computed once per request, and shared by every index
 // running the same Engines) and probe the memtables and every frozen
@@ -289,7 +290,7 @@ func New(cfg Config) (*SegmentedIndex, error) {
 	s := &SegmentedIndex{
 		cfg:        cfg,
 		eng:        eng,
-		mem:        newMemtable(len(eng.reps)),
+		mem:        newMemtable(eng, nil),
 		slotOf:     make(map[int64]int32),
 		segSeq:     1,
 		crashHook:  func(string) {},
@@ -459,16 +460,7 @@ func (s *SegmentedIndex) applyInsertLocked(id int64, v bitvec.Vector, fss []*lsf
 		s.nextAuto = id + 1
 	}
 	s.live++
-	for r := range fss {
-		fs := fss[r]
-		if fs.Truncated {
-			s.mem.reps[r].truncated++
-		}
-		for k := 0; k < fs.Len(); k++ {
-			s.mem.reps[r].add(fs.Path(k), slot)
-		}
-	}
-	s.mem.slots = append(s.mem.slots, slot)
+	s.mem.add(slot, fss)
 	if len(s.mem.slots) >= s.cfg.MemtableSize {
 		s.rotateLocked()
 	}
@@ -486,7 +478,7 @@ func (s *SegmentedIndex) rotateLocked() {
 	}
 	s.mem.rotLSN = s.memMaxLSN
 	s.flushing = append(s.flushing, s.mem)
-	s.mem = newMemtable(len(s.eng.reps))
+	s.mem = newMemtable(s.eng, s.mem)
 	s.cond.Broadcast()
 }
 
@@ -686,23 +678,19 @@ func (s *SegmentedIndex) traverse(p *Plan, stats *QueryStats, cc *lsf.CancelChec
 		if fs.Truncated {
 			stats.Truncated++
 		}
-		// One hash per (repetition, path) serves the memtable maps, every
+		// One hash per (repetition, path) serves the memtable tables, every
 		// segment's key table, and every segment's bloom filter.
 		for k, h := range pr.hashes[0] {
 			if cc != nil && cc.Check() {
 				return cc.Err()
 			}
 			path := fs.Path(k)
-			for _, slot := range s.mem.reps[r].postingsHash(h, path) {
-				if !emit(slot) {
-					return nil
-				}
+			if !s.mem.each(r, h, path, emit) {
+				return nil
 			}
 			for _, mt := range s.flushing {
-				for _, slot := range mt.reps[r].postingsHash(h, path) {
-					if !emit(slot) {
-						return nil
-					}
+				if !mt.each(r, h, path, emit) {
+					return nil
 				}
 			}
 			for _, g := range s.segs {

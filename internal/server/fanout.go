@@ -204,7 +204,10 @@ func (r *fanRun) release() {
 // lock convoy would, whichever goroutine runs it.
 func (r *fanRun) runShard(i int) {
 	sl := &r.slots[i]
-	if r.stop.Load() {
+	// Shard 0 is the caller's, claimed before any helper exists, so it
+	// always starts; a stop that beat it there cuts it short at its
+	// traversal's first stop check.
+	if i > 0 && r.stop.Load() {
 		sl.state.Store(shardStopped)
 		return
 	}
@@ -229,10 +232,11 @@ func (r *fanRun) runShard(i int) {
 	}
 }
 
-// drain claims and runs shards until none are left unclaimed.
-func (r *fanRun) drain() {
+// drain runs shard i, then claims and runs shards until none are left
+// unclaimed.
+func (r *fanRun) drain(i int32) {
 	n := int32(len(r.slots))
-	for i := r.next.Add(1) - 1; i < n; i = r.next.Add(1) - 1 {
+	for ; i < n; i = r.next.Add(1) - 1 {
 		r.runShard(int(i))
 		switch r.pending.Add(-1) {
 		case 0:
@@ -243,7 +247,7 @@ func (r *fanRun) drain() {
 	}
 }
 
-func (r *fanRun) help() { r.drain(); r.unref() }
+func (r *fanRun) help() { r.drain(r.next.Add(1) - 1); r.unref() }
 
 // fanOut runs work on every shard and reports how it went. The calling
 // goroutine claims shards off the same counter as its helpers, starting
@@ -263,7 +267,7 @@ func (r *fanRun) fanOut(work shardWork) *Fanout {
 	}
 	helpers = min(helpers, n) - 1
 	r.work = work
-	r.next.Store(0)
+	r.next.Store(1) // shard 0 is the caller's, claimed before any helper starts
 	r.pending.Store(int32(n))
 	r.refs.Store(int32(1 + helpers))
 	for h := 0; h < helpers; h++ {
@@ -276,7 +280,7 @@ func (r *fanRun) fanOut(work shardWork) *Fanout {
 		// A second spawn moves the helper to the stealable run queue.
 		go func() {}()
 	}
-	r.drain()
+	r.drain(0)
 	left := r.pending.Load()
 	if left != 0 {
 		select {

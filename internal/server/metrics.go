@@ -1,6 +1,8 @@
 package server
 
 import (
+	"runtime/metrics"
+
 	"skewsim/internal/obs"
 	"skewsim/internal/segment"
 	"skewsim/internal/wal"
@@ -38,8 +40,10 @@ type Metrics struct {
 	StoppedShards *obs.Counter
 }
 
-// NewMetrics registers the serving stack's instruments on reg.
+// NewMetrics registers the serving stack's instruments on reg, and the
+// Go collector's cost beside them (registerRuntimeMetrics).
 func NewMetrics(reg *obs.Registry) *Metrics {
+	registerRuntimeMetrics(reg)
 	return &Metrics{
 		reg:     reg,
 		Segment: segment.NewMetrics(reg),
@@ -69,6 +73,34 @@ func (m *Metrics) observeFanout(abandoned, stopped int64, partial bool) {
 	if partial {
 		m.PartialFanouts.Inc()
 	}
+}
+
+// registerRuntimeMetrics exports what the Go garbage collector costs
+// the daemon, read from runtime/metrics at scrape time: its cumulative
+// CPU time and the heap size its next cycle targets. The collector's
+// work scales with the live heap and the pointers in it, so these are
+// the signals that show pointer-bearing structures (and the frozen
+// arenas' lack of pointers) in production.
+func registerRuntimeMetrics(reg *obs.Registry) {
+	read := func(name string) func() float64 {
+		return func() float64 {
+			sample := []metrics.Sample{{Name: name}}
+			metrics.Read(sample)
+			switch v := sample[0].Value; v.Kind() {
+			case metrics.KindFloat64:
+				return v.Float64()
+			case metrics.KindUint64:
+				return float64(v.Uint64())
+			}
+			return 0 // not supported by this Go runtime
+		}
+	}
+	reg.CounterFunc("skewsim_go_gc_cpu_seconds_total",
+		"CPU seconds spent by the Go garbage collector (runtime/metrics /cpu/classes/gc/total:cpu-seconds).",
+		read("/cpu/classes/gc/total:cpu-seconds"))
+	reg.GaugeFunc("skewsim_go_heap_goal_bytes",
+		"Heap size the Go garbage collector's next cycle targets (runtime/metrics /gc/heap/goal:bytes).",
+		read("/gc/heap/goal:bytes"))
 }
 
 // Registry returns the underlying registry (the HTTP face mounts its

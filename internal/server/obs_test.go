@@ -6,6 +6,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -164,6 +166,30 @@ func TestObsEndpointMetrics(t *testing.T) {
 	}
 	if m.Segment.Freezes.Value() == 0 {
 		t.Fatal("freeze counter never incremented (400 inserts, memtable 64)")
+	}
+}
+
+// TestObsRuntimeMetrics: the Go collector's CPU time and heap goal are
+// exported, with the values runtime/metrics reports (positive once a
+// collection has run).
+func TestObsRuntimeMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	NewMetrics(reg)
+	runtime.GC()
+	var b bytes.Buffer
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range []string{"skewsim_go_gc_cpu_seconds_total", "skewsim_go_heap_goal_bytes"} {
+		v := -1.0
+		for _, line := range strings.Split(b.String(), "\n") {
+			if val, ok := strings.CutPrefix(line, fam+" "); ok {
+				v, _ = strconv.ParseFloat(val, 64)
+			}
+		}
+		if v <= 0 {
+			t.Fatalf("%s = %v, want > 0:\n%s", fam, v, grepFamily(b.String(), fam))
+		}
 	}
 }
 

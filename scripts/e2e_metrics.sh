@@ -66,6 +66,8 @@ skewsim_index_live_vectors,\
 skewsim_index_segments,\
 skewsim_admission_inflight,\
 skewsim_fanout_stopped_shards_total,\
-skewsim_wal_bytes
+skewsim_wal_bytes,\
+skewsim_go_gc_cpu_seconds_total,\
+skewsim_go_heap_goal_bytes
 
 echo "e2e: ok"
