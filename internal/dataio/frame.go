@@ -46,6 +46,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // with the WAL frames.
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
+// UpdateChecksum extends a running Checksum with p: Checksum(a+b) ==
+// UpdateChecksum(Checksum(a), b). Streaming writers checksum a section
+// chunk by chunk with it.
+func UpdateChecksum(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
+
 // AppendFrame appends the framed encoding of payload to dst and returns
 // the extended slice. Panics if payload exceeds MaxFramePayload (WAL
 // records are small; a violation is a programming error, not an input

@@ -1,9 +1,9 @@
 // Package faultinject is the registry-gated fault-injection seam for
 // the serving stack: named injection points compiled into the WAL
-// (fsync), the segment worker (checkpoint write, freeze), the query plan
-// (one repetition computed) and the shard fan-out (stall) fire a
-// test-installed hook when one is armed and cost one atomic load when
-// none is.
+// (fsync), the segment worker (checkpoint write and its chunks, freeze),
+// the query plan (one repetition computed) and the shard fan-out
+// (stall) fire a test-installed hook when one is armed and cost one
+// atomic load when none is.
 //
 // The points stay compiled in (no build tag) so the fault suite runs as
 // part of the ordinary test tiers; the armed-count fast path keeps the
@@ -36,6 +36,12 @@ const (
 	// simulates disk-full — the file is not written and the log is left
 	// un-fenced. Args: the checkpoint sequence number (uint64).
 	SegmentCheckpointWrite Point = "segment.checkpoint-write"
+	// SegmentCheckpointChunk fires before each chunk write of a segment
+	// file, after the temp file is open and partly written; a non-nil
+	// return fails that write as a real write error would (EIO, or
+	// disk-full mid-file). Args: the checkpoint sequence number
+	// (uint64) and the chunk's file offset (int64).
+	SegmentCheckpointChunk Point = "segment.checkpoint-chunk"
 	// SegmentSlowFreeze fires at the start of freezing a memtable into
 	// a CSR segment; hooks typically sleep to widen the freeze window.
 	// The return value is ignored. Args: the memtable size (int).

@@ -81,7 +81,7 @@ func TestBuildersFreezeIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.AppendFrozen(nil, false)
+	want := frozenBytes(t, ref, false)
 	for _, bl := range []*Builder{NewBuilder(e), NewLiveBuilder(e)} {
 		for id, x := range data {
 			fs := e.Filters(x)
@@ -93,7 +93,7 @@ func TestBuildersFreezeIdentically(t *testing.T) {
 			}
 		}
 		ix := bl.Freeze(data)
-		if got := ix.AppendFrozen(nil, false); !bytes.Equal(got, want) {
+		if got := frozenBytes(t, ix, false); !bytes.Equal(got, want) {
 			t.Fatalf("live=%v: frozen blob differs from BuildIndex's", bl.live)
 		}
 		if size, nb := len(ix.tableIdx), ix.Stats().Buckets; size < 2*nb || (size > 4 && size/2 >= 2*nb) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"unsafe"
@@ -50,6 +51,9 @@ const (
 	frozenCompressed = 1 << 0
 )
 
+// hostLittleEndian selects the zero-copy paths: arena views into a
+// blob on open, arenas handed to the writer as they are on encode.
+// Tests clear it to run the portable (big-endian host) paths.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -102,21 +106,34 @@ func (ix *Index) ForEachBucketHash(fn func(h uint64)) {
 	}
 }
 
-// AppendFrozen appends the relocatable frozen-blob encoding of the
-// index to dst (8-aligning sections relative to the blob start) and
-// returns the extended slice. compress selects the delta+varint
-// posting encoding.
-func (ix *Index) AppendFrozen(dst []byte, compress bool) []byte {
+// frozenScratch bounds the encoder's staging buffer: the varint
+// postings and, on big-endian hosts, the arenas are encoded into it and
+// written out whenever it fills, so encoding costs O(1) heap whatever
+// the index size.
+const frozenScratch = 64 << 10
+
+// WriteFrozen streams the relocatable frozen-blob encoding of the index
+// to w and returns the bytes written. Sections are 8-aligned relative
+// to the blob start, which the caller places at an 8-aligned offset.
+// compress selects the delta+varint posting encoding. On little-endian
+// hosts each arena is written straight from its backing array; w must
+// not retain the slices it is handed (the io.Writer contract). The heap
+// cost is the compressed postings' offset table, one frozenScratch
+// buffer, and for a cold source one bucket's decode buffer.
+func (ix *Index) WriteFrozen(w io.Writer, compress bool) (int64, error) {
 	nb := len(ix.pathSpans)
+	fw := &frozenWriter{w: w}
+	var buf []int32 // decode buffer for a cold source's buckets
 	var compOff []uint32
-	var blob []byte
 	flags := uint32(0)
 	if compress {
+		// Sizing pass: the blob length heads the blob and the offsets
+		// precede the postings, so both are known before a byte is
+		// encoded.
 		flags |= frozenCompressed
 		compOff = make([]uint32, nb+1)
 		for b := 0; b < nb; b++ {
-			blob = appendBucketPostings(blob, ix, int32(b))
-			compOff[b+1] = uint32(len(blob))
+			compOff[b+1] = compOff[b] + uint32(postingsLen(ix.bucketPostings(int32(b), &buf)))
 		}
 	}
 	var nIDs uint32
@@ -130,76 +147,131 @@ func (ix *Index) AppendFrozen(dst []byte, compress bool) []byte {
 	le.PutUint32(hdr[8:], uint32(len(ix.pathElems)))
 	le.PutUint32(hdr[12:], nIDs)
 	le.PutUint32(hdr[16:], flags)
-	le.PutUint32(hdr[20:], uint32(len(blob)))
+	if compress {
+		le.PutUint32(hdr[20:], compOff[nb])
+	}
 	le.PutUint64(hdr[24:], uint64(ix.totalFilters))
 	le.PutUint64(hdr[32:], uint64(ix.truncatedCount))
-	dst = append(dst, hdr[:]...)
+	fw.write(hdr[:])
 
-	pad := func(d []byte) []byte {
-		for len(d)%8 != 0 {
-			d = append(d, 0)
+	fw.u64s(ix.tableKeys)
+	fw.u32s(i32Words(ix.tableIdx))
+	fw.pad()
+	fw.u32s(spanWords(ix.pathSpans))
+	fw.u32s(ix.idOff)
+	fw.pad()
+	fw.u32s(ix.pathElems)
+	fw.pad()
+	switch {
+	case compress:
+		fw.u32s(compOff)
+		fw.pad()
+		b := fw.scratch[:0]
+		for bkt := 0; bkt < nb; bkt++ {
+			if b = AppendPostings(b, ix.bucketPostings(int32(bkt), &buf)); len(b) >= frozenScratch {
+				fw.write(b)
+				b = b[:0]
+			}
 		}
-		return d
-	}
-	for _, k := range ix.tableKeys {
-		dst = le.AppendUint64(dst, k)
-	}
-	for _, v := range ix.tableIdx {
-		dst = le.AppendUint32(dst, uint32(v))
-	}
-	dst = pad(dst)
-	for _, s := range ix.pathSpans {
-		dst = le.AppendUint32(dst, s.Off)
-		dst = le.AppendUint32(dst, s.Len)
-	}
-	for _, o := range ix.idOff {
-		dst = le.AppendUint32(dst, o)
-	}
-	dst = pad(dst)
-	for _, e := range ix.pathElems {
-		dst = le.AppendUint32(dst, e)
-	}
-	dst = pad(dst)
-	if compress {
-		for _, o := range compOff {
-			dst = le.AppendUint32(dst, o)
-		}
-		dst = pad(dst)
-		dst = append(dst, blob...)
-	} else if ix.cold == nil {
-		for _, id := range ix.ids {
-			dst = le.AppendUint32(dst, uint32(id))
-		}
-	} else {
+		fw.write(b)
+		fw.scratch = b[:0]
+	case ix.cold == nil:
+		fw.u32s(i32Words(ix.ids))
+	default:
 		// Uncompressed encoding of a cold source: stream each bucket
-		// through the decoder (compaction of cold segments lands here).
-		var scratch []int32
-		for b := 0; b < nb; b++ {
-			var err error
-			if scratch, err = ix.appendColdBucket(scratch[:0], int32(b)); err != nil {
-				panic(err) // unreachable: cold blobs are validated at open
-			}
-			for _, id := range scratch {
-				dst = le.AppendUint32(dst, uint32(id))
-			}
+		// through the decoder.
+		for bkt := 0; bkt < nb; bkt++ {
+			fw.u32s(i32Words(ix.bucketPostings(int32(bkt), &buf)))
 		}
 	}
-	return pad(dst)
+	fw.pad()
+	return fw.n, fw.err
 }
 
-// appendBucketPostings encodes bucket b's posting list, decoding it
-// first if the source index is itself cold.
-func appendBucketPostings(dst []byte, ix *Index, b int32) []byte {
+// bucketPostings returns bucket b's posting list: an arena view on a
+// resident index, the list decoded into *buf on a cold one.
+func (ix *Index) bucketPostings(b int32, buf *[]int32) []int32 {
 	if ix.cold == nil {
-		return AppendPostings(dst, ix.bucketIDs(b))
+		return ix.bucketIDs(b)
 	}
-	var scratch []int32
-	scratch, err := ix.appendColdBucket(scratch, b)
+	ids, err := ix.appendColdBucket((*buf)[:0], b)
 	if err != nil {
-		// Unreachable: cold blobs are fully validated at open.
-		panic(err)
+		panic(err) // unreachable: cold blobs are validated at open
 	}
-	return AppendPostings(dst, scratch)
+	*buf = ids
+	return ids
+}
+
+// frozenWriter is WriteFrozen's output side: it counts bytes for the
+// section padding and keeps the first write error, after which every
+// write is a no-op.
+type frozenWriter struct {
+	w       io.Writer
+	n       int64
+	err     error
+	scratch []byte
+}
+
+func (fw *frozenWriter) write(p []byte) {
+	if fw.err != nil || len(p) == 0 {
+		return
+	}
+	k, err := fw.w.Write(p)
+	fw.n += int64(k)
+	fw.err = err
+}
+
+// pad zero-fills to the next 8-byte boundary of the blob.
+func (fw *frozenWriter) pad() {
+	var zero [8]byte
+	fw.write(zero[:(8-fw.n%8)%8])
+}
+
+// u32s writes v as little-endian words: zero-copy from v's backing
+// array on a little-endian host, through the scratch buffer otherwise.
+func (fw *frozenWriter) u32s(v []uint32) {
+	if hostLittleEndian {
+		fw.write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v)))
+		return
+	}
+	for len(v) > 0 {
+		k := min(len(v), frozenScratch/4)
+		b := fw.scratch[:0]
+		for _, x := range v[:k] {
+			b = binary.LittleEndian.AppendUint32(b, x)
+		}
+		fw.write(b)
+		fw.scratch = b[:0]
+		v = v[k:]
+	}
+}
+
+// u64s is u32s for 64-bit words.
+func (fw *frozenWriter) u64s(v []uint64) {
+	if hostLittleEndian {
+		fw.write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v)))
+		return
+	}
+	for len(v) > 0 {
+		k := min(len(v), frozenScratch/8)
+		b := fw.scratch[:0]
+		for _, x := range v[:k] {
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
+		fw.write(b)
+		fw.scratch = b[:0]
+		v = v[k:]
+	}
+}
+
+// i32Words and spanWords reinterpret arenas as the uint32 words they
+// encode to (a Span is its Off word, then its Len word).
+func i32Words(v []int32) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
+}
+
+func spanWords(v []Span) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(v))), 2*len(v))
 }
 
 // frozenReader walks a blob's sections, validating bounds as it goes.
@@ -219,7 +291,7 @@ func (r *frozenReader) section(elemSize, count int) ([]byte, error) {
 	return s, nil
 }
 
-// OpenFrozenBytes reconstructs a frozen index from an AppendFrozen
+// OpenFrozenBytes reconstructs a frozen index from a WriteFrozen
 // blob. With zeroCopy set (and a little-endian host) the arenas are
 // unsafe views into b — b must stay immutable and mapped for the life
 // of the index; otherwise the arenas are decoded onto the heap and b

@@ -3,12 +3,27 @@ package lsf
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"skewsim/internal/bitvec"
 )
 
-// openFrozenVariants reopens ix through every AppendFrozen ×
+// frozenBytes is ix's WriteFrozen encoding, collected in memory.
+func frozenBytes(t testing.TB, ix *Index, compress bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := ix.WriteFrozen(&buf, compress)
+	if err != nil {
+		t.Fatalf("WriteFrozen(compress=%v): %v", compress, err)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteFrozen(compress=%v) reported %d bytes, wrote %d", compress, n, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// openFrozenVariants reopens ix through every WriteFrozen ×
 // OpenFrozenBytes combination the storage layer uses: resident
 // (heap-decoded) and zero-copy, each over uncompressed and compressed
 // posting encodings.
@@ -16,7 +31,7 @@ func openFrozenVariants(t *testing.T, ix *Index, e *Engine, data []bitvec.Vector
 	t.Helper()
 	out := map[string]*Index{"original": ix}
 	for _, compress := range []bool{false, true} {
-		blob := ix.AppendFrozen(nil, compress)
+		blob := frozenBytes(t, ix, compress)
 		for _, zeroCopy := range []bool{false, true} {
 			name := "heap"
 			if zeroCopy {
@@ -99,7 +114,7 @@ func TestFrozenBlobColdReencode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := OpenFrozenBytes(ix.AppendFrozen(nil, true), e, data, true)
+	cold, err := OpenFrozenBytes(frozenBytes(t, ix, true), e, data, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +122,11 @@ func TestFrozenBlobColdReencode(t *testing.T) {
 		t.Fatal("zero-copy compressed open is not cold")
 	}
 	for _, compress := range []bool{false, true} {
-		rix, err := OpenFrozenBytes(cold.AppendFrozen(nil, compress), e, data, false)
+		blob := frozenBytes(t, cold, compress)
+		if !bytes.Equal(blob, frozenBytes(t, ix, compress)) {
+			t.Fatalf("re-encode compress=%v: bytes differ from the resident source's", compress)
+		}
+		rix, err := OpenFrozenBytes(blob, e, data, false)
 		if err != nil {
 			t.Fatalf("re-encode compress=%v: %v", compress, err)
 		}
@@ -126,6 +145,51 @@ func TestFrozenBlobColdReencode(t *testing.T) {
 	}
 }
 
+// TestFrozenBlobPortableEncode forces the portable encode path — the
+// one a big-endian host takes, converting word by word through the
+// scratch buffer instead of writing arenas from their backing arrays.
+// Its bytes must equal the direct path's, from a resident and from a
+// cold source, and OpenFrozenBytes must round-trip them (with the flag
+// down it heap-decodes, as a big-endian host would).
+func TestFrozenBlobPortableEncode(t *testing.T) {
+	e, data, queries := differentialWorkload(t, 32)
+	ix, err := BuildIndex(e, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := OpenFrozenBytes(frozenBytes(t, ix, true), e, data, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[bool][]byte{false: frozenBytes(t, ix, false), true: frozenBytes(t, ix, true)}
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	hostLittleEndian = false
+	for _, compress := range []bool{false, true} {
+		for name, src := range map[string]*Index{"resident": ix, "cold": cold} {
+			blob := frozenBytes(t, src, compress)
+			if !bytes.Equal(blob, want[compress]) {
+				t.Fatalf("%s compress=%v: portable encoding differs from the direct one", name, compress)
+			}
+			for _, zeroCopy := range []bool{false, true} {
+				rix, err := OpenFrozenBytes(blob, e, data, zeroCopy)
+				if err != nil {
+					t.Fatalf("%s compress=%v zeroCopy=%v: open: %v", name, compress, zeroCopy, err)
+				}
+				if got := rix.Stats(); got != ix.Stats() {
+					t.Fatalf("%s compress=%v: stats %+v, original %+v", name, compress, got, ix.Stats())
+				}
+				for k, q := range queries {
+					wantIDs, _ := ix.CandidateIDs(q)
+					gotIDs, _ := rix.CandidateIDs(q)
+					if !slices.Equal(gotIDs, wantIDs) {
+						t.Fatalf("%s compress=%v query %d: candidates diverged", name, compress, k)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFrozenBlobRejectsCorruption: every truncation must be rejected,
 // and single-byte flips must either be rejected or open into an index
 // that does not crash under traversal (CRC catches flips in the real
@@ -137,7 +201,7 @@ func TestFrozenBlobRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, compress := range []bool{false, true} {
-		blob := ix.AppendFrozen(nil, compress)
+		blob := frozenBytes(t, ix, compress)
 		// Every cut in the header and first sections, then a bounded odd
 		// stride across the rest (odd so cuts land at every alignment) —
 		// full per-byte sweeps of a several-hundred-KB blob are minutes

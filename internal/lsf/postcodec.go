@@ -3,6 +3,7 @@ package lsf
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Posting-list compression: delta + zigzag varint, the cold-tier
@@ -46,6 +47,17 @@ func AppendPostings(dst []byte, ids []int32) []byte {
 		dst = append(dst, byte(u))
 	}
 	return dst
+}
+
+// postingsLen is len(AppendPostings(nil, ids)), computed without
+// encoding: the sizing pass of a streamed compressed blob.
+func postingsLen(ids []int32) int {
+	n, prev := 0, int32(0)
+	for _, id := range ids {
+		n += (bits.Len32(zigzag(id-prev)|1) + 6) / 7
+		prev = id
+	}
+	return n
 }
 
 // DecodePostings appends exactly count ids decoded from src to dst,

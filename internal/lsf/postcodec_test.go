@@ -2,6 +2,7 @@ package lsf
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -28,6 +29,9 @@ func TestPostingCodecRoundTrip(t *testing.T) {
 	}
 	for ci, ids := range cases {
 		enc := AppendPostings(nil, ids)
+		if n := postingsLen(ids); n != len(enc) {
+			t.Fatalf("case %d: postingsLen %d, encoding is %d bytes", ci, n, len(enc))
+		}
 		got, err := DecodePostings(nil, enc, len(ids), 1<<20)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", ci, err)
@@ -43,6 +47,17 @@ func TestPostingCodecRoundTrip(t *testing.T) {
 		}
 		if !slices.Equal(got2[:2], prefix) || !slices.Equal(got2[2:], ids) {
 			t.Fatalf("case %d: prefix decode corrupted: %v", ci, got2)
+		}
+	}
+}
+
+// TestPostingCodecLenExtremes: the sizing pass agrees with the encoder
+// at every varint width, up to the 5-byte deltas of the int32 extremes.
+func TestPostingCodecLenExtremes(t *testing.T) {
+	ids := []int32{0, 63, -64, 64, 1 << 13, -(1 << 20), 1 << 27, math.MinInt32, math.MaxInt32, 0}
+	for i := range ids {
+		if n, want := postingsLen(ids[:i+1]), len(AppendPostings(nil, ids[:i+1])); n != want {
+			t.Fatalf("prefix %d: postingsLen %d, encoding is %d bytes", i+1, n, want)
 		}
 	}
 }

@@ -208,3 +208,65 @@ func BenchmarkSegmentedFreeze(b *testing.B) {
 		}
 	}
 }
+
+// checkpointSegment builds the checkpoint benchmark's segment: 1 024
+// vectors of the end-to-end benchmark's sparse profile, Zipf(2000, 0.5,
+// 0.6), under its daemon's correlated parameters (6 repetitions), frozen
+// into one segment. It returns the index, the segment and the dump
+// writeSegFile takes.
+func checkpointSegment(tb testing.TB) (*SegmentedIndex, *frozenSeg, segDump) {
+	tb.Helper()
+	d, err := dist.NewProduct(dist.Zipf(2000, 0.5, 0.6))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	params, err := core.EngineParams(core.Correlated, d, 5000, 0.6667, core.Options{Seed: 1, Repetitions: 6})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := New(Config{Params: params, N: 5000, MemtableSize: 1 << 20})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	for _, v := range d.SampleN(hashing.NewSplitMix64(31), 1024) {
+		if _, err := s.Insert(v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	s.Flush()
+	s.WaitIdle()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.segs) != 1 || s.segs[0].size() != 1024 {
+		tb.Fatalf("want one frozen segment of 1024 vectors, have %d segments", len(s.segs))
+	}
+	return s, s.segs[0], s.gatherSegLocked(s.segs[0])
+}
+
+// BenchmarkSegmentedCheckpoint measures persisting one frozen segment
+// as an SKSEG1 file — stream, fsync, rename, directory fsync — in both
+// posting encodings. B/op is the checkpoint's heap cost; fileMiB is
+// the file it writes.
+func BenchmarkSegmentedCheckpoint(b *testing.B) {
+	_, seg, dump := checkpointSegment(b)
+	for _, compress := range []bool{false, true} {
+		name := "plain"
+		if compress {
+			name = "compressed"
+		}
+		b.Run(name, func(b *testing.B) {
+			dir := b.TempDir()
+			var size int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if _, size, err = writeSegFile(dir, 1, dump, seg.reps, seg.bloom, compress, func(string) {}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(size)/(1<<20), "fileMiB")
+		})
+	}
+}

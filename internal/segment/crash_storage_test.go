@@ -44,7 +44,7 @@ func storageCrashConfig(t *testing.T) Config {
 // simply the whole workload. Freezes, compactions, and demotions that
 // run concurrently with the op stream fire the same hooks but are
 // ignored; the armed phase then forces at least one of each: the final
-// flush persists a fourth segment (storage-tmp), pushing the count past
+// flush persists a fourth segment (storage-partial, storage-tmp), pushing the count past
 // MaxSegments (compaction-sweep) and the budget retier demotes the
 // survivors (tier-demote); lifting the budget promotes them all back
 // (tier-promote) and re-imposing it demotes them again.
@@ -107,6 +107,10 @@ func TestStorageCrashRecovery(t *testing.T) {
 		// renamed, so the data's only durable home is still the log.
 		{"storage-tmp", 1},
 		{"storage-tmp", 2},
+		// Mid-stream, after the first repetition section and before the
+		// header: a temp file holding only the chunks flushed so far.
+		{"storage-partial", 1},
+		{"storage-partial", 2},
 		// After the merged file's rename, before the inputs' files are
 		// removed: both generations on disk, recovery dedups by id.
 		{"compaction-sweep", 1},

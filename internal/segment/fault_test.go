@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"skewsim/internal/bitvec"
@@ -182,6 +183,78 @@ func TestFaultCheckpointDiskFull(t *testing.T) {
 		}
 	}
 	assertEquivalent(t, rec, ref, queries)
+}
+
+// TestFaultCheckpointStreamError: a write error partway through
+// streaming a segment file (the temp file is open and being written)
+// removes the temp file, keeps the segment resident — it has no file to
+// demote to, even under a 1-byte budget — and leaves the log un-fenced,
+// so recovery replays the records and comes back bit-identical.
+func TestFaultCheckpointStreamError(t *testing.T) {
+	const n = 120
+	d := testDist(t)
+	params := testParams(t, d, n, 3, 93)
+	cfg := Config{Params: params, N: n, MemtableSize: 24, MaxSegments: 3, ResidentBytes: 1}
+	dir := t.TempDir()
+	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, SegmentBytes: 1 << 12})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	s, err := Recover(cfg, log)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+
+	var fired atomic.Int64
+	restore := faultinject.Set(faultinject.SegmentCheckpointChunk, func(args ...any) error {
+		fired.Add(1)
+		return errInjected // EIO stand-in on a chunk write
+	})
+	defer restore()
+
+	data := d.SampleN(hashing.NewSplitMix64(19), n)
+	for i, v := range data {
+		if _, err := s.Insert(v); err != nil {
+			t.Fatalf("Insert %d: %v", i, err)
+		}
+	}
+	s.Flush()
+	s.WaitIdle()
+	if fired.Load() == 0 {
+		t.Fatal("no segment file write reached the chunk fault point")
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, ckptPrefix+"*")); len(files) != 0 {
+		t.Fatalf("segment files left behind by failed writes: %v", files)
+	}
+	if st := s.Stats(); st.Segments == 0 || st.ColdSegments != 0 {
+		t.Fatalf("want every segment resident after failed writes, got %+v", st)
+	}
+	if seq := log.LastCheckpoint(); seq != 0 {
+		t.Fatalf("log fenced at checkpoint %d by a failed write", seq)
+	}
+	s.Close()
+	restore()
+
+	log2, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, SegmentBytes: 1 << 12})
+	if err != nil {
+		t.Fatalf("wal.Open after failed writes: %v", err)
+	}
+	rec, err := Recover(cfg, log2)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	defer rec.Close()
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatalf("reference New: %v", err)
+	}
+	defer ref.Close()
+	for i, v := range data {
+		if _, err := ref.Insert(v); err != nil {
+			t.Fatalf("reference Insert %d: %v", i, err)
+		}
+	}
+	assertEquivalent(t, rec, ref, crashQueries(t, 20))
 }
 
 // TestFaultCancelSegmentQueries: context cancellation aborts the

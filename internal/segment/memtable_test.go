@@ -112,10 +112,13 @@ func segmentBlobs(segs ...*frozenSeg) [][]byte {
 				b = append(b, byte(w>>i))
 			}
 		}
+		buf := bytes.NewBuffer(b)
 		for _, ix := range g.reps {
-			b = ix.AppendFrozen(b, false)
+			if _, err := ix.WriteFrozen(buf, false); err != nil {
+				panic(err) // a bytes.Buffer write cannot fail
+			}
 		}
-		out = append(out, b)
+		out = append(out, buf.Bytes())
 	}
 	return out
 }

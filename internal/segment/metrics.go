@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"time"
+
 	"skewsim/internal/obs"
 )
 
@@ -57,6 +59,13 @@ type Metrics struct {
 	DecodeSeconds *obs.Histogram
 	BloomProbes   *obs.Counter
 	BloomSkips    *obs.Counter
+
+	// CheckpointSeconds is the duration of one segment file write
+	// (stream, fsync, rename, directory fsync), freeze and compaction
+	// alike; CheckpointBytes sums the sizes of the files written.
+	// Failed writes observe neither.
+	CheckpointSeconds *obs.Histogram
+	CheckpointBytes   *obs.Counter
 }
 
 // NewMetrics registers the segment layer's instruments on reg.
@@ -78,6 +87,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		DecodeSeconds:  reg.Histogram("skewsim_segment_decode_seconds", "Duration of one promotion's segment decode.", dur),
 		BloomProbes:    reg.Counter("skewsim_segment_bloom_probes_total", "Per-segment bloom filter consultations."),
 		BloomSkips:     reg.Counter("skewsim_segment_bloom_skips_total", "Segment probes skipped by the bloom filter."),
+
+		CheckpointSeconds: reg.Histogram("skewsim_segment_checkpoint_seconds", "Duration of one segment file write, fsync and rename.", dur),
+		CheckpointBytes:   reg.Counter("skewsim_segment_checkpoint_bytes_total", "Bytes of segment files written."),
 	}
 	m.QueryCandidates = reg.Histogram("skewsim_query_candidates", "Candidate occurrences per shard-query.", work, single)
 	m.QueryFilters = reg.Histogram("skewsim_query_filters", "Filters (|F(q)|) probed per shard-query.", work, single)
@@ -120,4 +132,10 @@ func (m *Metrics) observeTruncation(st *QueryStats) {
 	if st.BloomSkips > 0 {
 		m.BloomSkips.Add(int64(st.BloomSkips))
 	}
+}
+
+// observeCheckpoint records one segment file written in d.
+func (m *Metrics) observeCheckpoint(d time.Duration, bytes int64) {
+	m.CheckpointSeconds.ObserveDuration(d)
+	m.CheckpointBytes.Add(bytes)
 }

@@ -22,7 +22,10 @@ import (
 // of wal.go are unchanged), holding everything needed to serve the
 // segment without a rebuild: the vector payloads, the external-id map,
 // the global tombstone snapshot, the path-key bloom filter, and one
-// relocatable frozen-index blob (lsf.AppendFrozen) per repetition.
+// relocatable frozen-index blob (lsf.WriteFrozen) per repetition.
+// Writing streams each section from its source to the file through one
+// 2 MiB chunk buffer, so a checkpoint's heap cost does not grow with
+// the segment (writeSegFile).
 // Because the per-repetition blobs store the frozen arenas verbatim,
 // opening a file is either zero-copy — the arenas become typed views
 // into a read-only mmap, which is how cold segments serve queries —
@@ -76,101 +79,163 @@ var segFileMagic = [6]byte{'S', 'K', 'S', 'E', 'G', '1'}
 
 func pad8(n int) int { return (n + 7) &^ 7 }
 
-// segSection is one assembled section during writing.
-type segSection struct {
+// segChunk is the segment file's write unit: every write(2) but the
+// file's last is exactly one chunk at a chunk-aligned offset, and large
+// sections are copied through the chunk, never passed through. Writes
+// of that shape leave the file in 2 MiB page-cache folios, so a cold
+// segment's mapping is PMD-mapped; unaligned large writes split them
+// and cost cold queries measurably (DESIGN.md "The SKSEG1 container").
+const segChunk = 2 << 20
+
+// segEntry is one section table entry.
+type segEntry struct {
 	kind, ord, aux uint32
-	data           []byte
+	off, length    int64
+	crc            uint32
+}
+
+// segFileWriter streams a segment file through one segChunk buffer,
+// checksumming the open section as it goes. The first error sticks:
+// later writes are dropped and the caller sees it when it finishes.
+type segFileWriter struct {
+	f     *os.File
+	seq   uint64 // checkpoint sequence, passed to the fault point
+	buf   []byte // bytes not yet written; len < segChunk between calls
+	off   int64  // file offset of the next byte
+	crc   uint32 // CRC-32C of the open section up to buf[crcAt:]
+	crcAt int
+	err   error
+}
+
+func (w *segFileWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 && w.err == nil {
+		k := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf = w.buf[:len(w.buf)+k]
+		w.off += int64(k)
+		p = p[k:]
+		if len(w.buf) == cap(w.buf) {
+			w.flush()
+		}
+	}
+	if w.err != nil {
+		return n - len(p), w.err
+	}
+	return n, nil
+}
+
+// u32 and u64 write one little-endian word.
+func (w *segFileWriter) u32(v uint32) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	w.Write(b[:])
+}
+
+func (w *segFileWriter) u64(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	w.Write(b[:])
+}
+
+// sum folds the buffered bytes of the open section into its checksum.
+func (w *segFileWriter) sum() {
+	w.crc = dataio.UpdateChecksum(w.crc, w.buf[w.crcAt:])
+	w.crcAt = len(w.buf)
+}
+
+// flush writes the buffered bytes: a whole chunk, except at the end of
+// the file.
+func (w *segFileWriter) flush() {
+	w.sum()
+	if w.err == nil {
+		w.err = faultinject.Fire(faultinject.SegmentCheckpointChunk, w.seq, w.off-int64(len(w.buf)))
+	}
+	if w.err == nil {
+		_, w.err = w.f.Write(w.buf)
+	}
+	w.buf, w.crcAt = w.buf[:0], 0
+}
+
+// section streams one section at the next 8-aligned offset — body
+// writes its bytes through w — and returns its table entry.
+func (w *segFileWriter) section(kind, ord, aux uint32, body func()) segEntry {
+	var zero [8]byte
+	w.Write(zero[:pad8(int(w.off))-int(w.off)])
+	w.crc, w.crcAt = 0, len(w.buf)
+	e := segEntry{kind: kind, ord: ord, aux: aux, off: w.off}
+	body()
+	w.sum()
+	e.length, e.crc = w.off-e.off, w.crc
+	return e
 }
 
 // writeSegFile atomically persists one frozen segment as an SKSEG1
-// container: assemble in memory, write to a temp name, fsync,
-// crash-hook, rename into place, fsync the directory. Returns the
-// final path. The frozen lsf indexes are immutable, so no index lock
-// is held during any of this.
-func writeSegFile(dir string, seq uint64, dump segDump, reps []*lsf.Index, bloom *bloomFilter, compress bool, hook func(string)) (string, error) {
+// container and returns its path and size. The file is streamed to a
+// temp name — a zeroed placeholder where the header goes, then every
+// section straight from its source (the frozen arenas via
+// lsf.WriteFrozen), checksummed on the way through one segChunk buffer
+// — and the header is written over the placeholder once the section
+// table is known. Then fsync, crash-hook, rename into place, fsync the
+// directory. The frozen lsf indexes are immutable, so no index lock is
+// held during any of this.
+func writeSegFile(dir string, seq uint64, dump segDump, reps []*lsf.Index, bloom *bloomFilter, compress bool, hook func(string)) (string, int64, error) {
 	if err := faultinject.Fire(faultinject.SegmentCheckpointWrite, seq); err != nil {
-		return "", fmt.Errorf("segment: checkpoint: %w", err)
+		return "", 0, fmt.Errorf("segment: checkpoint: %w", err)
 	}
-	le := binary.LittleEndian
-	count := len(dump.exts)
-
-	exts := make([]byte, 8*count)
-	for i, ext := range dump.exts {
-		le.PutUint64(exts[8*i:], uint64(ext))
-	}
-	vecOff := make([]byte, 4*(count+1))
-	var vecBits []byte
-	elems := 0
-	for i, v := range dump.vecs {
-		bits := v.Bits()
-		for _, e := range bits {
-			vecBits = le.AppendUint32(vecBits, e)
-		}
-		elems += len(bits)
-		le.PutUint32(vecOff[4*(i+1):], uint32(elems))
-	}
-	deadB := make([]byte, 8*len(dump.dead))
-	for i, id := range dump.dead {
-		le.PutUint64(deadB[8*i:], uint64(id))
-	}
-	bloomB := make([]byte, 8*len(bloom.words))
-	for i, w := range bloom.words {
-		le.PutUint64(bloomB[8*i:], w)
-	}
-	sections := []segSection{
-		{kind: sectExts, data: exts},
-		{kind: sectVecOff, data: vecOff},
-		{kind: sectVecBits, data: vecBits},
-		{kind: sectDead, data: deadB},
-		{kind: sectBloom, aux: bloomHashes, data: bloomB},
-	}
-	for r, rep := range reps {
-		sections = append(sections, segSection{kind: sectRep, ord: uint32(r), data: rep.AppendFrozen(nil, compress)})
-	}
-
-	flags := uint32(0)
-	if compress {
-		flags |= segFlagCompressed
-	}
-	hdrLen := 20 + segEntryLen*len(sections)
-	payload := make([]byte, hdrLen)
-	le.PutUint32(payload[0:], flags)
-	le.PutUint32(payload[4:], uint32(len(reps)))
-	le.PutUint32(payload[8:], uint32(count))
-	le.PutUint32(payload[12:], uint32(len(dump.dead)))
-	le.PutUint32(payload[16:], uint32(len(sections)))
-	off := pad8(segFileFixedHdr + hdrLen)
-	for i, s := range sections {
-		e := payload[20+segEntryLen*i:]
-		le.PutUint32(e[0:], s.kind)
-		le.PutUint32(e[4:], s.ord)
-		le.PutUint64(e[8:], uint64(off))
-		le.PutUint64(e[16:], uint64(len(s.data)))
-		le.PutUint32(e[24:], dataio.Checksum(s.data))
-		le.PutUint32(e[28:], s.aux)
-		off = pad8(off + len(s.data))
-	}
-
-	file := make([]byte, 0, off)
-	file = append(file, segFileMagic[:]...)
-	file = le.AppendUint16(file, segFileVersion)
-	file = le.AppendUint32(file, uint32(hdrLen))
-	file = le.AppendUint32(file, dataio.Checksum(payload))
-	file = append(file, payload...)
-	for _, s := range sections {
-		for len(file)%8 != 0 {
-			file = append(file, 0)
-		}
-		file = append(file, s.data...)
-	}
-
 	final := filepath.Join(dir, ckptName(seq))
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return "", fmt.Errorf("segment: checkpoint: %w", err)
+		return "", 0, fmt.Errorf("segment: checkpoint: %w", err)
 	}
-	if _, err = f.Write(file); err == nil {
+	w := &segFileWriter{f: f, seq: seq, buf: make([]byte, 0, segChunk)}
+	nsect := 5 + len(reps)
+	w.Write(make([]byte, pad8(segFileFixedHdr+20+segEntryLen*nsect))) // the header's placeholder
+	entries := make([]segEntry, 0, nsect)
+	entries = append(entries,
+		w.section(sectExts, 0, 0, func() {
+			for _, ext := range dump.exts {
+				w.u64(uint64(ext))
+			}
+		}),
+		w.section(sectVecOff, 0, 0, func() {
+			elems := 0
+			w.u32(0)
+			for _, v := range dump.vecs {
+				elems += v.Len()
+				w.u32(uint32(elems))
+			}
+		}),
+		w.section(sectVecBits, 0, 0, func() {
+			for _, v := range dump.vecs {
+				for _, e := range v.Bits() {
+					w.u32(e)
+				}
+			}
+		}),
+		w.section(sectDead, 0, 0, func() {
+			for _, id := range dump.dead {
+				w.u64(uint64(id))
+			}
+		}),
+		w.section(sectBloom, 0, bloomHashes, func() {
+			for _, word := range bloom.words {
+				w.u64(word)
+			}
+		}))
+	for r, rep := range reps {
+		// WriteFrozen's error is w's sticky one, checked after the flush.
+		entries = append(entries, w.section(sectRep, uint32(r), 0, func() { rep.WriteFrozen(w, compress) }))
+		if r == 0 {
+			hook("storage-partial")
+		}
+	}
+	w.flush()
+	size := w.off
+	if err = w.err; err == nil {
+		_, err = f.WriteAt(segFileHeader(entries, len(reps), len(dump.exts), len(dump.dead), compress), 0)
+	}
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -178,17 +243,47 @@ func writeSegFile(dir string, seq uint64, dump segDump, reps []*lsf.Index, bloom
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("segment: checkpoint: %w", err)
+		return "", 0, fmt.Errorf("segment: checkpoint: %w", err)
 	}
 	hook("storage-tmp")
 	if err = os.Rename(tmp, final); err != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("segment: checkpoint: %w", err)
+		return "", 0, fmt.Errorf("segment: checkpoint: %w", err)
 	}
 	if err = syncDir(dir); err != nil {
-		return "", fmt.Errorf("segment: checkpoint: %w", err)
+		return "", 0, fmt.Errorf("segment: checkpoint: %w", err)
 	}
-	return final, nil
+	return final, size, nil
+}
+
+// segFileHeader encodes the fixed header and the header payload —
+// shape plus section table — that open a segment file.
+func segFileHeader(entries []segEntry, reps, count, dead int, compress bool) []byte {
+	le := binary.LittleEndian
+	flags := uint32(0)
+	if compress {
+		flags |= segFlagCompressed
+	}
+	payload := make([]byte, 0, 20+segEntryLen*len(entries))
+	payload = le.AppendUint32(payload, flags)
+	payload = le.AppendUint32(payload, uint32(reps))
+	payload = le.AppendUint32(payload, uint32(count))
+	payload = le.AppendUint32(payload, uint32(dead))
+	payload = le.AppendUint32(payload, uint32(len(entries)))
+	for _, e := range entries {
+		payload = le.AppendUint32(payload, e.kind)
+		payload = le.AppendUint32(payload, e.ord)
+		payload = le.AppendUint64(payload, uint64(e.off))
+		payload = le.AppendUint64(payload, uint64(e.length))
+		payload = le.AppendUint32(payload, e.crc)
+		payload = le.AppendUint32(payload, e.aux)
+	}
+	hdr := make([]byte, 0, segFileFixedHdr+len(payload))
+	hdr = append(hdr, segFileMagic[:]...)
+	hdr = le.AppendUint16(hdr, segFileVersion)
+	hdr = le.AppendUint32(hdr, uint32(len(payload)))
+	hdr = le.AppendUint32(hdr, dataio.Checksum(payload))
+	return append(hdr, payload...)
 }
 
 // segContainer is a parsed SKSEG1 file. All byte-backed fields

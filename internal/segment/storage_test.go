@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"skewsim/internal/hashing"
 	"skewsim/internal/lsf"
 	"skewsim/internal/mmapio"
+	"skewsim/internal/obs"
 	"skewsim/internal/verify"
 )
 
@@ -165,6 +167,74 @@ func TestStorageDifferential(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestStorageCheckpointMetrics: the checkpoint instruments see every
+// segment file written, freezes and compaction outputs alike — one
+// duration each, and bytes_total equal to the files' summed sizes
+// (taken from the synced temp file, since compaction deletes its
+// inputs' files later).
+func TestStorageCheckpointMetrics(t *testing.T) {
+	data, _ := storageData(t)
+	dir := t.TempDir()
+	cfg := storageConfig(t, dir, true)
+	cfg.Metrics = NewMetrics(obs.NewRegistry())
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var files, written int64
+	s.crashHook = func(point string) {
+		if point != "storage-tmp" {
+			return
+		}
+		tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		if len(tmps) != 1 {
+			t.Errorf("%d temp files at rename time, want 1", len(tmps))
+			return
+		}
+		fi, err := os.Stat(tmps[0])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		files++
+		written += fi.Size()
+	}
+	storageOps(t, s, data)
+	if st := s.Stats(); st.Compactions == 0 || st.Freezes == 0 {
+		t.Fatalf("workload must both freeze and compact: %+v", st)
+	}
+	m := cfg.Metrics
+	if got := m.CheckpointSeconds.Count(); got != files {
+		t.Fatalf("checkpoint_seconds observed %d files, %d were written", got, files)
+	}
+	if got := m.CheckpointBytes.Value(); got != written || got == 0 {
+		t.Fatalf("checkpoint_bytes_total = %d, files written total %d bytes", got, written)
+	}
+}
+
+// TestStorageCheckpointBoundedAlloc: persisting the checkpoint
+// benchmark's segment (a 40 MiB plain file) costs at most 5 MiB of
+// heap — the 2 MiB chunk and small change, not copies of the segment.
+func TestStorageCheckpointBoundedAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 1024-vector, 6-repetition segment")
+	}
+	_, seg, dump := checkpointSegment(t)
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, size, err := writeSegFile(dir, 1, dump, seg.reps, seg.bloom, false, func(string) {})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 5 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Fatalf("writing a %d-byte segment file allocated %d bytes, bound %d", size, alloc, bound)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"skewsim/internal/bitvec"
 	"skewsim/internal/lsf"
@@ -281,9 +282,14 @@ func (s *SegmentedIndex) persistFreezeLocked(seg *frozenSeg, rotLSN uint64) {
 	seg.walSeq = seq
 	dump := s.gatherSegLocked(seg)
 	compress := s.cfg.CompressPostings
+	mt := s.cfg.Metrics
 	s.persisting = true
 	s.mu.Unlock()
-	path, err := writeSegFile(dir, seq, dump, seg.reps, seg.bloom, compress, s.crashHook)
+	t0 := time.Now()
+	path, size, err := writeSegFile(dir, seq, dump, seg.reps, seg.bloom, compress, s.crashHook)
+	if err == nil && mt != nil {
+		mt.observeCheckpoint(time.Since(t0), size)
+	}
 	s.crashHook("freeze-checkpoint")
 	if err == nil && w != nil {
 		// Log-file truncation and replay-skip fence; an error (e.g. log
@@ -316,14 +322,19 @@ func (s *SegmentedIndex) persistCompactionLocked(merged, a, b *frozenSeg) {
 		merged.walSeq = seq
 		dump = s.gatherSegLocked(merged)
 	}
+	mt := s.cfg.Metrics
 	s.persisting = true
 	s.mu.Unlock()
 	ok := true
 	var path string
 	if merged != nil {
+		t0 := time.Now()
+		var size int64
 		var err error
-		if path, err = writeSegFile(dir, seq, dump, merged.reps, merged.bloom, compress, s.crashHook); err != nil {
+		if path, size, err = writeSegFile(dir, seq, dump, merged.reps, merged.bloom, compress, s.crashHook); err != nil {
 			ok = false // keep the inputs' files: they still cover the data
+		} else if mt != nil {
+			mt.observeCheckpoint(time.Since(t0), size)
 		}
 	}
 	closeSegFile(a)

@@ -59,6 +59,8 @@ skewsim_http_requests_total,\
 skewsim_http_request_seconds,\
 skewsim_query_candidates,\
 skewsim_segment_freezes_total,\
+skewsim_segment_checkpoint_seconds,\
+skewsim_segment_checkpoint_bytes_total,\
 skewsim_wal_appends_total,\
 skewsim_wal_fsync_seconds,\
 skewsim_wal_commit_batch_records,\
