@@ -18,7 +18,7 @@ BENCH_OUT ?= BENCH_PR10.json
 BENCH_PREV ?= BENCH_PR9.json
 BENCH_COUNT ?= 5
 
-.PHONY: all build vet test test-purego race fuzz bench bench-json bench-guard bench-obs-guard bench-e2e bench-e2e-compare docs test-fault test-obs e2e test-cluster test-storage
+.PHONY: all build vet test test-purego race fuzz bench bench-json bench-guard bench-obs-guard bench-e2e bench-e2e-compare docs test-fault test-obs e2e test-cluster test-storage loc
 
 all: build vet test
 
@@ -31,6 +31,18 @@ docs:
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per package and in total, counted with go list and
+# wc alone: the size record a simplification is measured by.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | { \
+		total=0; \
+		while read -r pkg files; do \
+			n=$$(cat $$files </dev/null | wc -l); \
+			total=$$((total + n)); \
+			printf '%7d %s\n' "$$n" "$$pkg"; \
+		done; \
+		printf '%7d total\n' "$$total"; }
 
 vet:
 	$(GO) vet ./...

@@ -230,16 +230,9 @@ const maxRequestBytes = 64 << 20
 // response back. retryable errors (transport, 5xx) return handled =
 // false so the caller can try another backend.
 func (g *gateway) forward(w http.ResponseWriter, r *http.Request, target string, body []byte) (handled bool, status int, err error) {
-	url := target + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
+	req, err := upstream(r, target, body)
 	if err != nil {
 		return false, 0, err
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
@@ -250,6 +243,30 @@ func (g *gateway) forward(w http.ResponseWriter, r *http.Request, target string,
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return false, resp.StatusCode, fmt.Errorf("backend %s: status %d", target, resp.StatusCode)
 	}
+	relay(w, resp, target)
+	return true, resp.StatusCode, nil
+}
+
+// upstream builds the replay of r against target: same method, path,
+// query and Content-Type, with the buffered body.
+func upstream(r *http.Request, target string, body []byte) (*http.Request, error) {
+	url := target + r.URL.Path
+	if r.URL.RawQuery != "" {
+		url += "?" + r.URL.RawQuery
+	}
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if ct := r.Header.Get("Content-Type"); ct != "" {
+		req.Header.Set("Content-Type", ct)
+	}
+	return req, nil
+}
+
+// relay copies target's response back to the client: status, body, the
+// headers a client acts on, and the backend that answered.
+func relay(w http.ResponseWriter, resp *http.Response, target string) {
 	for _, h := range []string{"Content-Type", "Retry-After", "X-Request-Id"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -258,7 +275,6 @@ func (g *gateway) forward(w http.ResponseWriter, r *http.Request, target string,
 	w.Header().Set("X-Skewgate-Backend", target)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-	return true, resp.StatusCode, nil
 }
 
 // serveRead fails over across eligible backends: start at the
@@ -315,18 +331,11 @@ func (g *gateway) serveWrite(w http.ResponseWriter, r *http.Request, body []byte
 		}
 		// Peek-forward: issue the request ourselves so a 429/503 can be
 		// retried without involving the client.
-		url := p.url + r.URL.Path
-		if r.URL.RawQuery != "" {
-			url += "?" + r.URL.RawQuery
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
+		req, err := upstream(r, p.url, body)
 		if err != nil {
 			g.writesFailed.Inc()
 			gatewayError(w, http.StatusInternalServerError, err.Error())
 			return
-		}
-		if ct := r.Header.Get("Content-Type"); ct != "" {
-			req.Header.Set("Content-Type", ct)
 		}
 		resp, err := g.client.Do(req)
 		if err != nil {
@@ -350,14 +359,7 @@ func (g *gateway) serveWrite(w http.ResponseWriter, r *http.Request, body []byte
 			}
 			continue
 		}
-		for _, h := range []string{"Content-Type", "Retry-After", "X-Request-Id"} {
-			if v := resp.Header.Get(h); v != "" {
-				w.Header().Set(h, v)
-			}
-		}
-		w.Header().Set("X-Skewgate-Backend", p.url)
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
+		relay(w, resp, p.url)
 		resp.Body.Close()
 		if resp.StatusCode < 500 {
 			g.writesOK.Inc()

@@ -16,6 +16,7 @@ import (
 	"skewsim/internal/dist"
 	"skewsim/internal/hashing"
 	"skewsim/internal/segment"
+	"skewsim/internal/verify"
 )
 
 func main() {
@@ -31,12 +32,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	idx, err := segment.New(segment.Config{
+	cfg := segment.Config{
 		Params:       params,
 		N:            n,
 		MemtableSize: 256, // small, to make freezing visible here
 		MaxSegments:  2,   // aggressive compaction, same reason
-	})
+	}
+	// Build the repetition engines once: every index over them accepts
+	// the same query plans (F(q) per repetition, computed once).
+	if cfg.Engines, err = segment.NewEngines(cfg); err != nil {
+		log.Fatal(err)
+	}
+	idx, err := segment.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,13 +71,21 @@ func main() {
 
 	// Query while mutable: a planted near-duplicate of a live vector.
 	q := data[1]
-	match, qs, found := idx.QueryBest(q, bitvec.BraunBlanquetMeasure)
+	ses := verify.Acquire(bitvec.BraunBlanquetMeasure, q)
+	defer verify.Release(ses)
+	search := func(ix *segment.SegmentedIndex, mode segment.Mode, k int) (segment.Result, segment.QueryStats) {
+		p := segment.NewPlan(cfg.Engines)
+		p.Reset(q)
+		res, st, _ := ix.Search(nil, p, segment.Request{Sessions: []*verify.Session{ses}, Mode: mode, K: k})
+		return res[0], st
+	}
+	best, qs := search(idx, segment.ModeBest, 0)
 	fmt.Printf("self-query over %d segments: found=%v id=%d sim=%.2f (%d candidates, %d distinct)\n",
-		qs.Segments, found, match.ID, match.Similarity, qs.Candidates, qs.Distinct)
+		qs.Segments, best.Found, best.Match.ID, best.Match.Similarity, qs.Candidates, qs.Distinct)
 
-	top, _ := idx.TopK(q, 3, bitvec.BraunBlanquetMeasure)
+	top, _ := search(idx, segment.ModeTopK, 3)
 	fmt.Printf("top-3:")
-	for _, m := range top {
+	for _, m := range top.Matches {
 		fmt.Printf(" (%d, %.2f)", m.ID, m.Similarity)
 	}
 	fmt.Println()
@@ -81,14 +96,12 @@ func main() {
 	if _, err := idx.WriteSnapshot(&snap); err != nil {
 		log.Fatal(err)
 	}
-	restored, err := segment.ReadSnapshot(&snap, segment.Config{
-		Params: params, N: n, MemtableSize: 256, MaxSegments: 2,
-	})
+	restored, err := segment.ReadSnapshot(&snap, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer restored.Close()
-	rmatch, _, rfound := restored.QueryBest(q, bitvec.BraunBlanquetMeasure)
+	rbest, _ := search(restored, segment.ModeBest, 0)
 	fmt.Printf("restored %d live vectors; same query: found=%v id=%d sim=%.2f\n",
-		restored.Stats().Live, rfound, rmatch.ID, rmatch.Similarity)
+		restored.Stats().Live, rbest.Found, rbest.Match.ID, rbest.Match.Similarity)
 }

@@ -532,18 +532,6 @@ func (ix *Index) RefIDsBuf(r PostingRef, buf *[]int32) []int32 {
 	return *buf
 }
 
-// PostingsBuf is Postings with a caller-precomputed path hash and a
-// decode buffer for cold indexes — the segment layer's per-path probe
-// (one HashPath per path instead of one per segment, and no allocation
-// on the decode path).
-func (ix *Index) PostingsBuf(h uint64, path []uint32, buf *[]int32) []int32 {
-	r, ok := ix.PathRefHash(h, path)
-	if !ok || r.Len == 0 {
-		return nil
-	}
-	return ix.RefIDsBuf(r, buf)
-}
-
 // Unsafe little-endian views: reinterpret a byte section as its typed
 // arena with zero copies. Sections are 8-aligned relative to the blob,
 // and the segment container 8-aligns blobs within the (page-aligned)

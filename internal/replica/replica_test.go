@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"net/http/httptest"
 	"slices"
 	"testing"
@@ -95,9 +96,12 @@ func assertAgree(t *testing.T, got, want *server.Server, queries []bitvec.Vector
 	if g, w := got.Stats().Live, want.Stats().Live; g != w {
 		t.Fatalf("live: follower %d, primary %d", g, w)
 	}
+	topK := func(srv *server.Server, q bitvec.Vector) []segment.Match {
+		res, _, _ := srv.Search(context.Background(), server.Request{Queries: []bitvec.Vector{q}, Measure: bitvec.BraunBlanquetMeasure, Mode: segment.ModeTopK, K: 10})
+		return res[0].Matches
+	}
 	for qi, q := range queries {
-		gm, _ := got.TopK(q, 10, bitvec.BraunBlanquetMeasure)
-		wm, _ := want.TopK(q, 10, bitvec.BraunBlanquetMeasure)
+		gm, wm := topK(got, q), topK(want, q)
 		if !slices.Equal(gm, wm) {
 			t.Fatalf("query %d: top-k differs\nfollower: %v\nprimary:  %v", qi, gm, wm)
 		}

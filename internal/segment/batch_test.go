@@ -9,7 +9,7 @@ import (
 )
 
 // batchTestIndex builds a SegmentedIndex with frozen segments, a live
-// memtable, and tombstones — every layer the batch executor walks.
+// memtable, and tombstones — every layer a search walks.
 func batchTestIndex(t *testing.T) (*SegmentedIndex, []bitvec.Vector) {
 	t.Helper()
 	const n = 500
@@ -56,10 +56,10 @@ func batchSessions(t *testing.T, m bitvec.Measure, qs []bitvec.Vector) []*verify
 	return sess
 }
 
-// TestSearchBatchBestDifferential asserts SearchBatch (best mode)
-// against per-query QueryBestWith: found flags and best similarities
-// must match exactly, the returned id must be the lowest external id
-// achieving the best similarity (checked against the exhaustive TopK
+// TestSearchBatchBestDifferential asserts a batch Search (mode best)
+// against one-query searches: found flags and best similarities must
+// match exactly, the returned id must be the lowest external id
+// achieving the best similarity (checked against the exhaustive top-k
 // candidate list, which shares the batch's candidate set), and the
 // summed work stats must equal the singles'.
 func TestSearchBatchBestDifferential(t *testing.T) {
@@ -67,13 +67,13 @@ func TestSearchBatchBestDifferential(t *testing.T) {
 	m := bitvec.BraunBlanquetMeasure
 	sess := batchSessions(t, m, qs)
 
-	got, gotStats := s.SearchBatch(sess, nil)
+	got, gotStats, _ := searchBatch(s, nil, sess, nil)
 	if len(got) != len(qs) {
-		t.Fatalf("SearchBatch returned %d results, want %d", len(got), len(qs))
+		t.Fatalf("batch Search returned %d results, want %d", len(got), len(qs))
 	}
 	var wantStats QueryStats
 	for k := range qs {
-		match, st, found := s.QueryBestWith(sess[k])
+		match, st, found, _ := s.QueryBestWithContext(nil, sess[k])
 		wantStats.Filters += st.Filters
 		wantStats.Truncated += st.Truncated
 		wantStats.Candidates += st.Candidates
@@ -92,7 +92,7 @@ func TestSearchBatchBestDifferential(t *testing.T) {
 		// similarity desc then id asc over the same candidate set, so
 		// the expected id is the first entry at the best similarity.
 		if match.Similarity > 0 {
-			topAll, _ := s.TopKWith(sess[k], 1<<20)
+			topAll, _ := queryTopK(s, qs[k], 1<<20, m)
 			if len(topAll) == 0 || topAll[0].Similarity != match.Similarity {
 				t.Fatalf("query %d: TopK disagrees with QueryBest", k)
 			}
@@ -124,9 +124,9 @@ func TestSearchBatchThresholdDifferential(t *testing.T) {
 		thresholds[k] = threshold
 	}
 
-	got, _ := s.SearchBatch(sess, thresholds)
+	got, _, _ := searchBatch(s, nil, sess, thresholds)
 	for k := range qs {
-		_, _, found := s.QueryWith(sess[k], threshold)
+		_, _, found, _ := s.QueryWithContext(nil, sess[k], threshold)
 		if got[k].Found != found {
 			t.Errorf("query %d: batch found=%v, single found=%v", k, got[k].Found, found)
 			continue
@@ -140,7 +140,7 @@ func TestSearchBatchThresholdDifferential(t *testing.T) {
 		// The batch's threshold match is the best passing candidate:
 		// it must equal the best candidate overall (which passes, since
 		// some candidate does).
-		best, _, _ := s.QueryBestWith(sess[k])
+		best, _, _, _ := s.QueryBestWithContext(nil, sess[k])
 		if got[k].Match.Similarity != best.Similarity {
 			t.Errorf("query %d: batch sim %v != best sim %v", k, got[k].Match.Similarity, best.Similarity)
 		}
@@ -152,5 +152,5 @@ func TestSearchBatchThresholdDifferential(t *testing.T) {
 			t.Error("mismatched thresholds length should panic")
 		}
 	}()
-	s.SearchBatch(sess, thresholds[:1])
+	searchBatch(s, nil, sess, thresholds[:1])
 }

@@ -70,7 +70,7 @@ func BenchmarkSegmentedQuery(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.QueryBest(qs[i%len(qs)], m)
+				queryBest(s, qs[i%len(qs)], m)
 			}
 		})
 	}
@@ -119,7 +119,7 @@ func BenchmarkQueryPathInstrumented(b *testing.B) {
 	run := func(metrics *Metrics, q bitvec.Vector) int64 {
 		s.cfg.Metrics = metrics
 		t0 := time.Now()
-		s.QueryBest(q, m)
+		queryBest(s, q, m)
 		return int64(time.Since(t0))
 	}
 	b.ResetTimer()

@@ -202,8 +202,8 @@ func assertEquivalent(t *testing.T, got, want *SegmentedIndex, queries []bitvec.
 		if !slices.Equal(gc, wc) {
 			t.Fatalf("query %d: candidate sets differ\nrecovered: %v\nreference: %v", qi, gc, wc)
 		}
-		gm, _ := got.TopK(q, 10, bitvec.BraunBlanquetMeasure)
-		wm, _ := want.TopK(q, 10, bitvec.BraunBlanquetMeasure)
+		gm, _ := queryTopK(got, q, 10, bitvec.BraunBlanquetMeasure)
+		wm, _ := queryTopK(want, q, 10, bitvec.BraunBlanquetMeasure)
 		if !slices.Equal(gm, wm) {
 			t.Fatalf("query %d: top-k differs\nrecovered: %v\nreference: %v", qi, gm, wm)
 		}

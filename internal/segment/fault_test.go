@@ -284,7 +284,7 @@ func TestFaultCancelSegmentQueries(t *testing.T) {
 	defer verify.Release(ses)
 
 	// Background: identical to the plain path, error-free.
-	wm, ws, wf := s.QueryBestWith(ses)
+	wm, ws, wf, _ := s.QueryBestWithContext(nil, ses)
 	gm, gs, gf, err := s.QueryBestWithContext(context.Background(), ses)
 	if err != nil {
 		t.Fatalf("QueryBestWithContext(Background): %v", err)
@@ -298,8 +298,8 @@ func TestFaultCancelSegmentQueries(t *testing.T) {
 	if _, _, _, err := s.QueryWithContext(ctx, ses, 0.5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled QueryWithContext: err = %v", err)
 	}
-	if _, _, err := s.TopKWithContext(ctx, ses, 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled TopKWithContext: err = %v", err)
+	if _, _, err := runSearch(s, ctx, Request{Sessions: []*verify.Session{ses}, Mode: ModeTopK, K: 5}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled top-k Search: err = %v", err)
 	}
 
 	// Batch: Background matches the plain batch; canceled aborts.
@@ -308,20 +308,20 @@ func TestFaultCancelSegmentQueries(t *testing.T) {
 		sess[i] = verify.Acquire(m, data[i*3])
 		defer verify.Release(sess[i])
 	}
-	wantRes, wantStats := s.SearchBatch(sess, nil)
-	gotRes, gotStats, err := s.SearchBatchContext(context.Background(), sess, nil)
+	wantRes, wantStats, _ := searchBatch(s, nil, sess, nil)
+	gotRes, gotStats, err := searchBatch(s, context.Background(), sess, nil)
 	if err != nil {
-		t.Fatalf("SearchBatchContext(Background): %v", err)
+		t.Fatalf("batch Search(Background): %v", err)
 	}
 	if gotStats != wantStats {
 		t.Fatalf("batch stats diverged: %+v vs %+v", gotStats, wantStats)
 	}
 	for i := range wantRes {
-		if gotRes[i] != wantRes[i] {
+		if gotRes[i].Match != wantRes[i].Match || gotRes[i].Found != wantRes[i].Found {
 			t.Fatalf("batch result %d diverged: %+v vs %+v", i, gotRes[i], wantRes[i])
 		}
 	}
-	if _, _, err := s.SearchBatchContext(ctx, sess, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled SearchBatchContext: err = %v", err)
+	if _, _, err := searchBatch(s, ctx, sess, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled batch Search: err = %v", err)
 	}
 }

@@ -105,7 +105,7 @@ func (s *SegmentedIndex) mergeSegments(a, b *frozenSeg) *frozenSeg {
 }
 
 // SortMatches orders matches by decreasing similarity, ties by ascending
-// id — the deterministic order shared by TopK at every layer (segment,
+// id — the deterministic order shared by top-k at every layer (segment,
 // shard router).
 func SortMatches(matches []Match) {
 	slices.SortFunc(matches, func(a, b Match) int {

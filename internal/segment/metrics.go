@@ -28,24 +28,19 @@ type Metrics struct {
 	FreezeSeconds  *obs.Histogram
 	CompactSeconds *obs.Histogram
 
-	// Per-query work histograms, observed once per (shard-)query
-	// traversal — the engine-level QueryStats made continuously
-	// visible. A drift of the data distribution away from the engines'
-	// probability model shows up here first, as a shift of the
-	// candidate-count distribution. Batch searches observe their
-	// aggregate once per (shard-)batch, tagged by the query="batch"
-	// label, because batch stats are not separable per query.
-	QueryCandidates *obs.Histogram
-	QueryFilters    *obs.Histogram
-	QueryDistinct   *obs.Histogram
-	QueryTruncated  *obs.Counter
+	// Per-query work histograms, observed once per (shard-)search —
+	// the engine-level QueryStats made continuously visible. A drift of
+	// the data distribution away from the engines' probability model
+	// shows up here first, as a shift of the candidate-count
+	// distribution. Index 0 is the query="single" child, for one-query
+	// searches; a search of several queries observes its aggregate once
+	// under index 1, query="batch", since batch stats are not separable
+	// per query.
+	QueryCandidates, QueryFilters, QueryDistinct [2]*obs.Histogram
+	QueryTruncated                               *obs.Counter
 	// QueryFellBack counts shard-queries answered by the exact-scan
 	// fallback (QueryStats.FellBack), batch queries included.
 	QueryFellBack *obs.Counter
-
-	BatchCandidates *obs.Histogram
-	BatchFilters    *obs.Histogram
-	BatchDistinct   *obs.Histogram
 
 	// Storage tiering: Demotions/Promotions count completed tier moves
 	// (a cold segment's heap arenas dropped / rebuilt); DecodeSeconds is
@@ -74,7 +69,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	dur := obs.HistogramOpts{MinPow: 10, MaxPow: 37, Scale: 1e-9}
 	// Work counts: 1 to ~1M in powers of two.
 	work := obs.HistogramOpts{MinPow: 0, MaxPow: 20}
-	single, batch := obs.L("query", "single"), obs.L("query", "batch")
 	m := &Metrics{
 		Freezes:        reg.Counter("skewsim_segment_freezes_total", "Memtables frozen into CSR segments."),
 		Compactions:    reg.Counter("skewsim_segment_compactions_total", "Frozen-segment merges performed."),
@@ -91,35 +85,22 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		CheckpointSeconds: reg.Histogram("skewsim_segment_checkpoint_seconds", "Duration of one segment file write, fsync and rename.", dur),
 		CheckpointBytes:   reg.Counter("skewsim_segment_checkpoint_bytes_total", "Bytes of segment files written."),
 	}
-	m.QueryCandidates = reg.Histogram("skewsim_query_candidates", "Candidate occurrences per shard-query.", work, single)
-	m.QueryFilters = reg.Histogram("skewsim_query_filters", "Filters (|F(q)|) probed per shard-query.", work, single)
-	m.QueryDistinct = reg.Histogram("skewsim_query_distinct", "Distinct live candidates verified per shard-query.", work, single)
-	m.BatchCandidates = reg.Histogram("skewsim_query_candidates", "Candidate occurrences per shard-query.", work, batch)
-	m.BatchFilters = reg.Histogram("skewsim_query_filters", "Filters (|F(q)|) probed per shard-query.", work, batch)
-	m.BatchDistinct = reg.Histogram("skewsim_query_distinct", "Distinct live candidates verified per shard-query.", work, batch)
+	for i, query := range []string{"single", "batch"} {
+		l := obs.L("query", query)
+		m.QueryCandidates[i] = reg.Histogram("skewsim_query_candidates", "Candidate occurrences per shard-query.", work, l)
+		m.QueryFilters[i] = reg.Histogram("skewsim_query_filters", "Filters (|F(q)|) probed per shard-query.", work, l)
+		m.QueryDistinct[i] = reg.Histogram("skewsim_query_distinct", "Distinct live candidates verified per shard-query.", work, l)
+	}
 	return m
 }
 
-// observeQuery records one completed (or canceled) single-query
-// traversal's stats.
-func (m *Metrics) observeQuery(st *QueryStats) {
-	m.QueryCandidates.Observe(int64(st.Candidates))
-	m.QueryFilters.Observe(int64(st.Filters))
-	m.QueryDistinct.Observe(int64(st.Distinct))
-	m.observeTruncation(st)
-}
-
-// observeBatch records one batch traversal's aggregate stats.
-func (m *Metrics) observeBatch(st *QueryStats) {
-	m.BatchCandidates.Observe(int64(st.Candidates))
-	m.BatchFilters.Observe(int64(st.Filters))
-	m.BatchDistinct.Observe(int64(st.Distinct))
-	m.observeTruncation(st)
-}
-
-// observeTruncation records the budget hits, their fallbacks, and the
-// bloom work shared by both query kinds.
-func (m *Metrics) observeTruncation(st *QueryStats) {
+// observeSearch records one search's stats (canceled or not): under
+// query="single" for a one-query search, query="batch" otherwise.
+func (m *Metrics) observeSearch(st *QueryStats, queries int) {
+	i := min(queries-1, 1)
+	m.QueryCandidates[i].Observe(int64(st.Candidates))
+	m.QueryFilters[i].Observe(int64(st.Filters))
+	m.QueryDistinct[i].Observe(int64(st.Distinct))
 	if st.Truncated > 0 {
 		m.QueryTruncated.Add(int64(st.Truncated))
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,7 +59,7 @@ func (e *Engines) release(p *Plan) {
 	e.plans.Put(p)
 }
 
-// Repetition states within a Plan. A traversal claims an open
+// Repetition states within a Plan. A search claims an open
 // repetition by moving it to repBusy, and leaves it repDone, or open
 // again when its computation was cut short.
 const (
@@ -68,7 +69,7 @@ const (
 )
 
 // planRep is one repetition of a Plan: every query's filter set and
-// path hashes, written by the traversal that claimed it and read-only
+// path hashes, written by the search that claimed it and read-only
 // once state is repDone.
 type planRep struct {
 	state  atomic.Int32
@@ -78,20 +79,28 @@ type planRep struct {
 
 // Plan is one request's query plan: for each repetition, the filter
 // sets F(q) and path hashes of every query in the request. Each
-// repetition is computed lazily, exactly once, by the first traversal
+// repetition is computed lazily, exactly once, by the first search
 // that needs it — any shard's, since every shard runs on the same
-// Engines — and shared read-only by all the others. A traversal that
+// Engines — and shared read-only by all the others. A search that
 // finds its repetition in progress plans the next unclaimed one instead,
 // and failing that yields while polling its CancelCheck: a goroutine
 // wake-up costs far more than the wait. A computation cut short by its
 // CancelCheck leaves the repetition open for a live sibling to claim.
 //
+// The plan also owns the result slots of every Search over it, so a
+// warmed plan serves a request without allocating.
+//
 // A Plan is reusable: Reset starts the next request on the same arenas.
-// Reset must not run while a traversal may still use the plan.
+// Reset must not run while a search may still use the plan, or while
+// its results are still read.
 type Plan struct {
 	eng  *Engines
 	qs   []bitvec.Vector
 	reps []planRep
+
+	mu   sync.Mutex
+	outs [][]Result // result arenas, the first used of them handed out
+	used int
 }
 
 // NewPlan returns an empty plan over e's engines.
@@ -108,6 +117,26 @@ func (p *Plan) Reset(qs ...bitvec.Vector) {
 	for r := range p.reps {
 		p.reps[r].state.Store(repOpen)
 	}
+	p.mu.Lock()
+	p.used = 0
+	p.mu.Unlock()
+}
+
+// results hands out one Search's n result slots, empty, valid until the
+// next Reset.
+func (p *Plan) results(n int) []Result {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.used == len(p.outs) {
+		p.outs = append(p.outs, nil)
+	}
+	out := slices.Grow(p.outs[p.used][:0], n)[:n]
+	for i := range out {
+		out[i] = Result{Matches: out[i].Matches[:0]}
+	}
+	p.outs[p.used] = out
+	p.used++
+	return out
 }
 
 // await returns repetition r once it is computed, computing it (or,

@@ -39,6 +39,12 @@ type bestAnswer struct {
 	err   error
 }
 
+// searchBestPlan runs ses's query in mode best over the shared plan p.
+func searchBestPlan(s *SegmentedIndex, cc *lsf.CancelCheck, p *Plan, ses *verify.Session) bestAnswer {
+	res, stats, err := s.Search(cc, p, Request{Sessions: []*verify.Session{ses}, Mode: ModeBest})
+	return bestAnswer{res[0].Match, stats, res[0].Found, err}
+}
+
 // TestFaultPlanCanceledRepetitionRecomputed: a sibling traversal that is
 // cut short while computing a plan repetition hands it back, and the
 // live traversal waiting on it — having planned every other repetition
@@ -56,7 +62,7 @@ func TestFaultPlanCanceledRepetitionRecomputed(t *testing.T) {
 		}
 		ses := verify.Acquire(m, q)
 		var want bestAnswer
-		want.match, want.stats, want.found = s.QueryBestWith(ses)
+		want.match, want.stats, want.found, _ = s.QueryBestWithContext(nil, ses)
 
 		p := NewPlan(s.eng)
 		p.Reset(q)
@@ -67,7 +73,7 @@ func TestFaultPlanCanceledRepetitionRecomputed(t *testing.T) {
 		done := make(chan bestAnswer, 1)
 		go func() {
 			var a bestAnswer
-			a.match, a.stats, a.found, a.err = s.QueryBestPlan(nil, p, ses)
+			a = searchBestPlan(s, nil, p, ses)
 			done <- a
 		}()
 		// ... the live traversal plans every later repetition and waits ...
@@ -105,7 +111,7 @@ func TestFaultPlanSharedUnderCancellation(t *testing.T) {
 	for k, q := range data[:40] {
 		ses := verify.Acquire(m, q)
 		var want bestAnswer
-		want.match, want.stats, want.found = s.QueryBestWith(ses)
+		want.match, want.stats, want.found, _ = s.QueryBestWithContext(nil, ses)
 		p := NewPlan(s.eng)
 		p.Reset(q)
 		var wg sync.WaitGroup
@@ -119,7 +125,7 @@ func TestFaultPlanSharedUnderCancellation(t *testing.T) {
 					cc = lsf.NewCancelCheck(canceled)
 				}
 				a := &answers[g]
-				a.match, a.stats, a.found, a.err = s.QueryBestPlan(cc, p, ses)
+				*a = searchBestPlan(s, cc, p, ses)
 			}()
 		}
 		wg.Wait()

@@ -7,13 +7,13 @@
 // flushing list and a background worker freezes them into immutable
 // CSR segments by one counting sort over those arenas (no replay, no
 // re-hash); a compaction pass merges small segments and physically drops
-// tombstoned vectors. Queries take F(q) per repetition engine from a
-// query Plan (computed once per request, and shared by every index
-// running the same Engines) and probe the memtables and every frozen
-// segment per path, merging candidates through one epoch-stamped
-// lsf.Visited set, so the layered structure answers exactly like a
-// single static index over the live data (asserted differentially in
-// the tests).
+// tombstoned vectors. Every query runs through one loop, Search: it
+// takes F(q) per repetition engine from a query Plan (computed once per
+// request, and shared by every index running the same Engines) and
+// probes the memtables and every frozen segment, merging candidates
+// through one epoch-stamped lsf.Visited set per query, so the layered
+// structure answers exactly like a single static index over the live
+// data (asserted differentially in the tests).
 //
 // Consistency model: a single RWMutex guards the index. Insert/Delete
 // are atomic and immediately visible to queries that start after they
@@ -606,313 +606,27 @@ func (s *SegmentedIndex) getFilterSet() *lsf.FilterSet {
 	return fs
 }
 
-// checkPlan panics on a plan made over other engines than the index
-// runs: its filter sets would silently miss every bucket.
-func (s *SegmentedIndex) checkPlan(p *Plan) {
-	if p.eng != s.eng {
-		panic("segment: query plan made over different engines")
-	}
-}
-
-// forEach runs the traversal and, when metrics are attached, records
-// the query's work stats — one observation per (shard-)query, canceled
-// or not, so the histograms see the same population the server serves.
-func (s *SegmentedIndex) forEach(p *Plan, stats *QueryStats, cc *lsf.CancelCheck, found *bool, sink func(slot int32) bool) error {
-	s.checkPlan(p)
-	err := s.traverse(p, stats, cc, found, sink)
-	if m := s.cfg.Metrics; m != nil {
-		m.observeQuery(stats)
-	}
-	return err
-}
-
-// traverse is the single traversal behind every single-query entry
-// point: for each repetition it takes the query's F(q) and path hashes
-// from the plan p (query 0), then probes the active memtable, the
-// flushing memtables, and every frozen segment for each path,
-// deduplicating slots index-wide through one epoch-stamped Visited set
-// and masking tombstones, streaming each distinct live slot into sink in
-// first-encounter order until sink returns false. Runs entirely under
-// the read lock: one query sees one consistent snapshot.
-//
-// found, when non-nil, reports whether sink has accepted a match. A
-// traversal whose every repetition truncated and found nothing falls
-// back to streaming every unvisited live slot into sink, as
-// core.Index.Query does, so the work budget never silently drops an
-// answer.
-//
-// cc, when non-nil, is a cooperative cancellation checkpoint polled
-// while a repetition is planned or awaited and once per filter path —
-// the nil (no-deadline) path pays one pointer compare per path. The
-// returned error is non-nil exactly when the traversal was cut short by
-// cc; a sink-initiated early stop returns nil.
-func (s *SegmentedIndex) traverse(p *Plan, stats *QueryStats, cc *lsf.CancelCheck, found *bool, sink func(slot int32) bool) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	stats.Segments = len(s.segs)
-	vis := s.visitPool.Get(len(s.vecs))
-	defer s.visitPool.Put(vis)
-	emit := func(slot int32) bool {
-		stats.Candidates++
-		if !vis.FirstVisit(slot) {
-			return true
-		}
-		if !s.alive[slot] {
-			return true
-		}
-		stats.Distinct++
-		return sink(slot)
-	}
-	// Per-traversal decode scratch for cold compressed segments (unused
-	// — and never allocated — while every consulted segment is resident
-	// or uncompressed).
-	var coldBuf []int32
-	for r := range s.eng.reps {
-		pr, err := p.await(r, cc)
-		if err != nil {
-			return err
-		}
-		fs := &pr.fss[0]
-		stats.Reps++
-		stats.Filters += fs.Len()
-		if fs.Truncated {
-			stats.Truncated++
-		}
-		// One hash per (repetition, path) serves the memtable tables, every
-		// segment's key table, and every segment's bloom filter.
-		for k, h := range pr.hashes[0] {
-			if cc != nil && cc.Check() {
-				return cc.Err()
-			}
-			path := fs.Path(k)
-			if !s.mem.each(r, h, path, emit) {
-				return nil
-			}
-			for _, mt := range s.flushing {
-				if !mt.each(r, h, path, emit) {
-					return nil
-				}
-			}
-			for _, g := range s.segs {
-				if g.bloom != nil {
-					stats.BloomProbes++
-					if !g.bloom.mayContain(h) {
-						stats.BloomSkips++
-						continue
-					}
-				}
-				for _, lid := range g.reps[r].PostingsBuf(h, path, &coldBuf) {
-					if !emit(g.slots[lid]) {
-						return nil
-					}
-				}
-			}
-		}
-	}
-	if found == nil || *found || !p.allTruncated(0) {
-		return nil
-	}
-	stats.FellBack++
-	return s.scanLive(vis, cc, sink)
-}
-
-// scanLive is the truncation fallback: it streams every live slot vis
-// has not seen into fn, in slot order, until fn returns false. Caller
-// holds the read lock.
-func (s *SegmentedIndex) scanLive(vis *lsf.Visited, cc *lsf.CancelCheck, fn func(slot int32) bool) error {
-	for slot := range int32(len(s.vecs)) {
-		if cc != nil && cc.Check() {
-			return cc.Err()
-		}
-		if s.alive[slot] && vis.FirstVisit(slot) && !fn(slot) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Query returns the first live vector with measure-similarity at least
-// threshold among the candidates sharing a filter with q.
-func (s *SegmentedIndex) Query(q bitvec.Vector, threshold float64, m bitvec.Measure) (Match, QueryStats, bool) {
-	ses := verify.Acquire(m, q)
-	defer verify.Release(ses)
-	match, stats, found, _ := s.QueryWithContext(nil, ses, threshold)
-	return match, stats, found
-}
-
-// QueryWith is Query over a caller-supplied verification session
-// (carrying the query, the measure, and the query's packed form). The
-// shard router packs a query once and fans the same session out to
-// every shard — Session verification is read-only, so concurrent shard
-// goroutines share it safely.
-func (s *SegmentedIndex) QueryWith(ses *verify.Session, threshold float64) (Match, QueryStats, bool) {
-	match, stats, found, _ := s.QueryWithContext(nil, ses, threshold)
-	return match, stats, found
-}
-
-// QueryWithContext is QueryWith with cooperative cancellation: ctx is
-// polled inside the traversal (filter generation and per-path probes),
-// so an abandoned query releases its read lock within one posting walk
-// instead of running to completion. The error is non-nil exactly when
-// the query was cut short (ctx.Err()); the partial result alongside it
-// must be treated as incomplete. A nil or never-canceled ctx costs one
-// nil compare per checkpoint.
+// QueryWithContext answers one query in mode first: some live vector
+// with similarity at least threshold among the candidates sharing a
+// filter with ses's query. It is Search over a pooled plan, kept because
+// the end-to-end benchmark's layer ledger compiles against it; the
+// error is Search's.
 func (s *SegmentedIndex) QueryWithContext(ctx context.Context, ses *verify.Session, threshold float64) (Match, QueryStats, bool, error) {
-	p := s.eng.plan(ses.Query())
-	defer s.eng.release(p)
-	return s.QueryPlan(lsf.NewCancelCheck(ctx), p, ses, threshold)
+	return s.searchOne(ctx, Request{Sessions: []*verify.Session{ses}, Thresholds: []float64{threshold}, Mode: ModeFirst})
 }
 
-// QueryPlan is QueryWithContext over a caller-built plan of ses's query
-// and a caller-built checkpoint: the shard router plans a request once
-// for all of its shards, and cuts the traversal short with a stop
-// signal as well as a deadline (lsf.NewStopCheck); the error is then
-// lsf.ErrStopped and nothing was found before the stop.
-func (s *SegmentedIndex) QueryPlan(cc *lsf.CancelCheck, p *Plan, ses *verify.Session, threshold float64) (Match, QueryStats, bool, error) {
-	var (
-		stats QueryStats
-		match Match
-		found bool
-	)
-	err := s.forEach(p, &stats, cc, &found, func(slot int32) bool {
-		if sim, ok := ses.AtLeast(&s.packed, s.vecs, slot, threshold); ok {
-			match = Match{ID: s.ext[slot], Similarity: sim}
-			found = true
-			return false
-		}
-		return true
-	})
-	return match, stats, found, err
-}
-
-// QueryBest examines every candidate and returns the most similar one
-// (first encountered wins ties).
-func (s *SegmentedIndex) QueryBest(q bitvec.Vector, m bitvec.Measure) (Match, QueryStats, bool) {
-	ses := verify.Acquire(m, q)
-	defer verify.Release(ses)
-	match, stats, found, _ := s.QueryBestWithContext(nil, ses)
-	return match, stats, found
-}
-
-// QueryBestWith is QueryBest over a caller-supplied session; each
-// candidate is pruned against the running best before its intersection
-// is computed.
-func (s *SegmentedIndex) QueryBestWith(ses *verify.Session) (Match, QueryStats, bool) {
-	match, stats, found, _ := s.QueryBestWithContext(nil, ses)
-	return match, stats, found
-}
-
-// QueryBestWithContext is QueryBestWith with cooperative cancellation
-// (see QueryWithContext for the contract).
+// QueryBestWithContext answers one query in mode best: its most similar
+// candidate, ties to the lowest id. Kept, like QueryWithContext, for the
+// layer ledger.
 func (s *SegmentedIndex) QueryBestWithContext(ctx context.Context, ses *verify.Session) (Match, QueryStats, bool, error) {
-	p := s.eng.plan(ses.Query())
+	return s.searchOne(ctx, Request{Sessions: []*verify.Session{ses}, Mode: ModeBest})
+}
+
+func (s *SegmentedIndex) searchOne(ctx context.Context, req Request) (Match, QueryStats, bool, error) {
+	p := s.eng.plan(req.Sessions[0].Query())
 	defer s.eng.release(p)
-	return s.QueryBestPlan(lsf.NewCancelCheck(ctx), p, ses)
-}
-
-// QueryBestPlan is QueryBestWithContext over a caller-built plan and
-// checkpoint (see QueryPlan).
-func (s *SegmentedIndex) QueryBestPlan(cc *lsf.CancelCheck, p *Plan, ses *verify.Session) (Match, QueryStats, bool, error) {
-	var (
-		stats QueryStats
-		match Match
-		found bool
-	)
-	best := -1.0
-	err := s.forEach(p, &stats, cc, &found, func(slot int32) bool {
-		if sim, ok := ses.MoreThan(&s.packed, s.vecs, slot, best); ok {
-			best = sim
-			match = Match{ID: s.ext[slot], Similarity: sim}
-			found = true
-		}
-		return true
-	})
-	return match, stats, found, err
-}
-
-// TopK returns the k most similar live candidates, sorted by decreasing
-// similarity with ties broken by ascending external id (deterministic,
-// and identical to core.QueryTopK's order under auto-assigned ids).
-func (s *SegmentedIndex) TopK(q bitvec.Vector, k int, m bitvec.Measure) ([]Match, QueryStats) {
-	ses := verify.Acquire(m, q)
-	defer verify.Release(ses)
-	matches, stats, _ := s.TopKWithContext(nil, ses, k)
-	return matches, stats
-}
-
-// TopKWith is TopK over a caller-supplied session. Every positive
-// similarity is computed exactly (no threshold prune — any candidate
-// can make the cut), but through the packed popcount kernel.
-func (s *SegmentedIndex) TopKWith(ses *verify.Session, k int) ([]Match, QueryStats) {
-	matches, stats, _ := s.TopKWithContext(nil, ses, k)
-	return matches, stats
-}
-
-// TopKWithContext is TopKWith with cooperative cancellation (see
-// QueryWithContext for the contract). A canceled top-k returns the
-// ranked prefix gathered so far alongside the error.
-func (s *SegmentedIndex) TopKWithContext(ctx context.Context, ses *verify.Session, k int) ([]Match, QueryStats, error) {
-	p := s.eng.plan(ses.Query())
-	defer s.eng.release(p)
-	return s.TopKPlan(lsf.NewCancelCheck(ctx), p, ses, k)
-}
-
-// TopKPlan is TopKWithContext over a caller-built plan and checkpoint
-// (see QueryPlan).
-func (s *SegmentedIndex) TopKPlan(cc *lsf.CancelCheck, p *Plan, ses *verify.Session, k int) ([]Match, QueryStats, error) {
-	var stats QueryStats
-	if k <= 0 {
-		return nil, stats, nil
-	}
-	var (
-		matches []Match
-		found   bool
-	)
-	err := s.forEach(p, &stats, cc, &found, func(slot int32) bool {
-		if sim := ses.Similarity(&s.packed, s.vecs, slot); sim > 0 {
-			matches = append(matches, Match{ID: s.ext[slot], Similarity: sim})
-			found = true
-		}
-		return true
-	})
-	SortMatches(matches)
-	if len(matches) > k {
-		matches = matches[:k]
-	}
-	return matches, stats, err
-}
-
-// Candidates returns the distinct live candidate slots for q over all
-// repetitions and layers. Together with Data it satisfies
-// join.CandidateSource, keeping the join driver the integration seam:
-// a SegmentedIndex drops into join.Run/RunParallel over a quiescent
-// index. The join driver captures Data() once up front, so concurrent
-// inserts during a join could yield candidate slots beyond that
-// snapshot — run joins with writes paused (queries are fine).
-func (s *SegmentedIndex) Candidates(q bitvec.Vector) []int32 {
-	var out []int32
-	s.candidates(q, func(slot int32) { out = append(out, slot) })
-	return out
-}
-
-// CandidatesExt is Candidates in the external id space, with stats.
-func (s *SegmentedIndex) CandidatesExt(q bitvec.Vector) ([]int64, QueryStats) {
-	var out []int64
-	stats := s.candidates(q, func(slot int32) { out = append(out, s.ext[slot]) })
-	return out, stats
-}
-
-// candidates streams q's candidate slots into add. Candidate sets never
-// fall back to a scan: they are the filters' answer, as in core.
-func (s *SegmentedIndex) candidates(q bitvec.Vector, add func(slot int32)) QueryStats {
-	p := s.eng.plan(q)
-	defer s.eng.release(p)
-	var stats QueryStats
-	s.forEach(p, &stats, nil, nil, func(slot int32) bool {
-		add(slot)
-		return true
-	})
-	return stats
+	res, stats, err := s.Search(lsf.NewCancelCheck(ctx), p, req)
+	return res[0].Match, stats, res[0].Found, err
 }
 
 // Data returns the slot-indexed vector table (dead slots keep their

@@ -12,6 +12,7 @@ import (
 	"skewsim/internal/hashing"
 	"skewsim/internal/join"
 	"skewsim/internal/lsf"
+	"skewsim/internal/verify"
 )
 
 // testParams builds the paper's adversarial engine parameters the way a
@@ -176,7 +177,7 @@ func TestDifferentialStatic(t *testing.T) {
 				bestSim, bestID = sim, liveIDs[sid]
 			}
 		}
-		match, _, found := s.QueryBest(q, m)
+		match, _, found := queryBest(s, q, m)
 		if found != (bestSim >= 0) {
 			t.Fatalf("query %d: found=%v, static best %v", qi, found, bestSim)
 		}
@@ -188,7 +189,7 @@ func TestDifferentialStatic(t *testing.T) {
 		// external id asc — is shared because auto ids are monotone in
 		// insertion order, as are static ids).
 		wantTop := topKStatic(q, static, liveIDs, m, 5)
-		gotTop, _ := s.TopK(q, 5, m)
+		gotTop, _ := queryTopK(s, q, 5, m)
 		if len(gotTop) != len(wantTop) {
 			t.Fatalf("query %d: top-k %d entries, want %d", qi, len(gotTop), len(wantTop))
 		}
@@ -544,10 +545,18 @@ func TestQueryStatsAccounting(t *testing.T) {
 func Example() {
 	d := dist.MustProduct(dist.Zipf(32, 0.5, 1.0))
 	params, _ := core.EngineParams(core.Adversarial, d, 1024, 0.5, core.Options{Seed: 1, Repetitions: 3})
-	s, _ := New(Config{Params: params, N: 1024})
+	cfg := Config{Params: params, N: 1024}
+	cfg.Engines, _ = NewEngines(cfg) // shared by every index and query plan over them
+	s, _ := New(cfg)
 	defer s.Close()
 	id, _ := s.Insert(bitvec.New(1, 2, 3, 4))
-	match, _, found := s.QueryBest(bitvec.New(1, 2, 3, 4), bitvec.BraunBlanquetMeasure)
-	fmt.Println(id, found, match.ID)
+
+	q := bitvec.New(1, 2, 3, 4)
+	ses := verify.Acquire(bitvec.BraunBlanquetMeasure, q)
+	defer verify.Release(ses)
+	p := NewPlan(cfg.Engines)
+	p.Reset(q)
+	res, _, _ := s.Search(nil, p, Request{Sessions: []*verify.Session{ses}, Mode: ModeBest})
+	fmt.Println(id, res[0].Found, res[0].Match.ID)
 	// Output: 0 true 0
 }

@@ -56,25 +56,25 @@ func storageOps(t *testing.T, s *SegmentedIndex, data []bitvec.Vector) {
 	s.WaitIdle()
 }
 
-// assertSameAnswers checks every query entry point across all five
-// measures: Query (first passing match), QueryBest, TopK, and
-// SearchBatch in both threshold and best-match modes.
+// assertSameAnswers checks every search mode across all five measures:
+// first (first passing match), best, topk, and a batch in mode best with
+// and without thresholds.
 func assertSameAnswers(t *testing.T, got, want *SegmentedIndex, queries []bitvec.Vector) {
 	t.Helper()
 	for _, m := range allMeasures {
 		for qi, q := range queries {
-			wm, _, wok := want.Query(q, 0.4, m)
-			gm, _, gok := got.Query(q, 0.4, m)
+			wm, _, wok := queryFirst(want, q, 0.4, m)
+			gm, _, gok := queryFirst(got, q, 0.4, m)
 			if gm != wm || gok != wok {
 				t.Fatalf("measure %v query %d: Query (%+v, %v), reference (%+v, %v)", m, qi, gm, gok, wm, wok)
 			}
-			wm, _, wok = want.QueryBest(q, m)
-			gm, _, gok = got.QueryBest(q, m)
+			wm, _, wok = queryBest(want, q, m)
+			gm, _, gok = queryBest(got, q, m)
 			if gm != wm || gok != wok {
 				t.Fatalf("measure %v query %d: QueryBest (%+v, %v), reference (%+v, %v)", m, qi, gm, gok, wm, wok)
 			}
-			wk, _ := want.TopK(q, 8, m)
-			gk, _ := got.TopK(q, 8, m)
+			wk, _ := queryTopK(want, q, 8, m)
+			gk, _ := queryTopK(got, q, 8, m)
 			if !slices.Equal(gk, wk) {
 				t.Fatalf("measure %v query %d: TopK\n got %v\nwant %v", m, qi, gk, wk)
 			}
@@ -88,9 +88,9 @@ func assertSameAnswers(t *testing.T, got, want *SegmentedIndex, queries []bitvec
 			thresholds[k] = 0.4
 		}
 		for _, th := range [][]float64{nil, thresholds} {
-			wr, _ := want.SearchBatch(sess, th)
-			gr, _ := got.SearchBatch(sess, th)
-			if !slices.Equal(gr, wr) {
+			wr, _, _ := searchBatch(want, nil, sess, th)
+			gr, _, _ := searchBatch(got, nil, sess, th)
+			if !slices.EqualFunc(gr, wr, sameAnswer) {
 				t.Fatalf("measure %v thresholds=%v: SearchBatch\n got %v\nwant %v", m, th != nil, gr, wr)
 			}
 		}
@@ -412,7 +412,7 @@ func TestTierRaceQueries(t *testing.T) {
 	storageOps(t, s, data)
 	want := make([]Match, len(queries))
 	for qi, q := range queries {
-		want[qi], _, _ = s.QueryBest(q, bitvec.BraunBlanquetMeasure)
+		want[qi], _, _ = queryBest(s, q, bitvec.BraunBlanquetMeasure)
 	}
 
 	done := make(chan struct{})
@@ -428,7 +428,7 @@ func TestTierRaceQueries(t *testing.T) {
 				default:
 				}
 				qi := (i*3 + w) % len(queries)
-				got, _, _ := s.QueryBest(queries[qi], bitvec.BraunBlanquetMeasure)
+				got, _, _ := queryBest(s, queries[qi], bitvec.BraunBlanquetMeasure)
 				if got != want[qi] {
 					t.Errorf("query %d diverged under tiering: %+v != %+v", qi, got, want[qi])
 					return
@@ -520,7 +520,7 @@ func TestBloomFilterScreening(t *testing.T) {
 	storageOps(t, s, data)
 	var probes, skips int
 	for _, q := range queries {
-		_, st, _ := s.QueryBest(q, bitvec.BraunBlanquetMeasure)
+		_, st, _ := queryBest(s, q, bitvec.BraunBlanquetMeasure)
 		probes += st.BloomProbes
 		skips += st.BloomSkips
 	}
@@ -532,7 +532,7 @@ func TestBloomFilterScreening(t *testing.T) {
 	}
 	sess := []*verify.Session{verify.Acquire(bitvec.BraunBlanquetMeasure, queries[0])}
 	defer verify.Release(sess[0])
-	_, bst := s.SearchBatch(sess, nil)
+	_, bst, _ := searchBatch(s, nil, sess, nil)
 	if bst.BloomProbes == 0 {
 		t.Fatal("batch path records no bloom probes")
 	}

@@ -75,16 +75,16 @@ func TestConcurrentMutation(t *testing.T) {
 					// An insert is query-visible the moment Insert's
 					// critical section ends, so any returned id is fair
 					// game — just exercise the path.
-					s.QueryBest(q, m)
+					queryBest(s, q, m)
 				case 1:
-					s.TopK(q, 5, m)
+					queryTopK(s, q, 5, m)
 				case 2:
 					if _, qs := s.CandidatesExt(q); qs.Reps != s.Repetitions() {
 						t.Errorf("stats reps %d", qs.Reps)
 						return
 					}
 				case 3:
-					s.Query(q, 0.9, m)
+					queryFirst(s, q, 0.9, m)
 				}
 				if i%50 == 0 {
 					s.Stats()
@@ -198,7 +198,7 @@ func TestConcurrentBatchSearch(t *testing.T) {
 				}
 				switch i % 3 {
 				case 0: // plain batch, best-match mode
-					res, _ := s.SearchBatch(sess, nil)
+					res, _, _ := searchBatch(s, nil, sess, nil)
 					if len(res) != batchSize {
 						t.Errorf("batch returned %d results, want %d", len(res), batchSize)
 					}
@@ -208,8 +208,8 @@ func TestConcurrentBatchSearch(t *testing.T) {
 						th[k] = 0.6
 					}
 					ctx, cancel := context.WithCancel(context.Background())
-					if _, _, err := s.SearchBatchContext(ctx, sess, th); err != nil {
-						t.Errorf("SearchBatchContext: %v", err)
+					if _, _, err := searchBatch(s, ctx, sess, th); err != nil {
+						t.Errorf("batch Search: %v", err)
 					}
 					cancel()
 				case 2: // cancellation racing the batch mid-flight
@@ -220,7 +220,7 @@ func TestConcurrentBatchSearch(t *testing.T) {
 						cancel()
 						close(done)
 					}()
-					_, _, err := s.SearchBatchContext(ctx, sess, nil)
+					_, _, err := searchBatch(s, ctx, sess, nil)
 					if err != nil && !errors.Is(err, context.Canceled) {
 						t.Errorf("canceled batch returned %v", err)
 					}

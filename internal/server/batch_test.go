@@ -10,10 +10,9 @@ import (
 	"skewsim/internal/hashing"
 )
 
-// TestServerSearchBatchDifferential asserts the sharded batch executor
-// against per-query QueryBest: found flags and best similarities must
-// match exactly (the batch tie-break names the lowest id among
-// equally-best candidates, so ids are compared through similarity).
+// TestServerSearchBatchDifferential asserts a sharded batch search
+// against one-query searches: found flags and best similarities must
+// match exactly.
 func TestServerSearchBatchDifferential(t *testing.T) {
 	const n = 400
 	cfg := testConfig(t, n, 3, 4)
@@ -33,13 +32,13 @@ func TestServerSearchBatchDifferential(t *testing.T) {
 	qs = append(qs, data[5], bitvec.New())
 	m := bitvec.BraunBlanquetMeasure
 
-	results, stats := srv.SearchBatch(qs, nil, m)
+	results, stats := searchBatch(srv, qs, nil, m)
 	if len(results) != len(qs) {
 		t.Fatalf("SearchBatch returned %d results, want %d", len(results), len(qs))
 	}
 	anyFound := false
 	for k, q := range qs {
-		match, _, found := srv.QueryBest(q, m)
+		match, _, found := queryBest(srv, q, m)
 		if results[k].Found != found {
 			t.Errorf("query %d: batch found=%v, single found=%v", k, results[k].Found, found)
 			continue
@@ -66,9 +65,9 @@ func TestServerSearchBatchDifferential(t *testing.T) {
 	for k := range thresholds {
 		thresholds[k] = threshold
 	}
-	tres, _ := srv.SearchBatch(qs, thresholds, m)
+	tres, _ := searchBatch(srv, qs, thresholds, m)
 	for k, q := range qs {
-		_, _, found := srv.Query(q, threshold, m)
+		_, _, found := queryFirst(srv, q, threshold, m)
 		if tres[k].Found != found {
 			t.Errorf("query %d: batch found=%v, single found=%v", k, tres[k].Found, found)
 		}
@@ -77,8 +76,8 @@ func TestServerSearchBatchDifferential(t *testing.T) {
 		}
 	}
 
-	if out, _ := srv.SearchBatch(nil, nil, m); out != nil {
-		t.Errorf("empty batch should return nil, got %v", out)
+	if out, _ := searchBatch(srv, nil, nil, m); len(out) != 0 {
+		t.Errorf("empty batch should return no results, got %v", out)
 	}
 }
 

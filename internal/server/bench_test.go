@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -40,7 +41,7 @@ func BenchmarkShardFanout(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				srv.QueryBest(qs[i%len(qs)], m)
+				srv.QueryBestContext(context.Background(), qs[i%len(qs)], m)
 			}
 			b.ReportMetric(float64(filtergen.Load())/float64(b.N), "filtergen/op")
 		})
@@ -56,7 +57,7 @@ func BenchmarkShardFanout(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, stats, _ := srv.Query(cw.Queries[i%len(cw.Queries)], thr, m)
+				_, stats, _, _ := srv.QueryContext(context.Background(), cw.Queries[i%len(cw.Queries)], thr, m)
 				filters += stats.Filters
 			}
 			b.ReportMetric(float64(filters)/float64(b.N), "filters/op")

@@ -13,11 +13,11 @@ import (
 	"skewsim/internal/verify"
 )
 
-// Deadline-aware query fan-out. The *Context query methods thread the
-// caller's context through admission (a queue-full or expired wait
-// rejects before any work), into every shard's traversal (cooperative
-// cancellation checkpoints) and into the aggregation (fanOut): a single
-// stalled shard degrades result completeness instead of availability.
+// Deadline-aware query fan-out. Search threads the caller's context
+// through admission (a queue-full or expired wait rejects before any
+// work), into every shard's search (cooperative cancellation
+// checkpoints) and into the aggregation (fanOut): a single stalled
+// shard degrades result completeness instead of availability.
 
 // ShardError reports one shard's failure within a fan-out, including
 // where the shard was when it failed: "running" when a goroutine had
@@ -39,8 +39,7 @@ const (
 
 // Fanout reports how a query's shard fan-out went: how many shards
 // contributed to the merged answer and what happened to the rest.
-// Returned alongside the (possibly partial) results of every *Context
-// query method.
+// Returned alongside the (possibly partial) results of every Search.
 type Fanout struct {
 	// Shards is the fan-out width (the server's shard count).
 	Shards int
@@ -112,15 +111,9 @@ type shardSlot struct {
 	state  atomic.Int32
 	merged bool // set by the caller: the slot is part of the answer
 	err    error
-	match  segment.Match
-	found  bool
+	res    []segment.Result // owned by the run's plan
 	stats  segment.QueryStats
-	list   []segment.Match       // top-k
-	batch  []segment.BatchResult // batch
 }
-
-// shardWork runs one shard of r into its slot, sl.err included.
-type shardWork func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex)
 
 // abandoned is added to fanRun.pending when the caller leaves at its
 // deadline with helper-run shards outstanding: the helper whose decrement
@@ -133,26 +126,25 @@ const abandoned = 1 << 30
 // goroutine holding one lets go (refs), so an abandoned helper never
 // sees its run — or the plan it may still be reading — reused.
 type fanRun struct {
-	s          *Server
-	ctx        context.Context
-	work       shardWork
-	sess       []*verify.Session // one per query
-	plan       *segment.Plan     // the queries' filter sets, shared by every shard
-	threshold  float64
-	thresholds []float64
-	k          int
+	s    *Server
+	ctx  context.Context
+	req  segment.Request // Sessions: one per query, released with the run
+	plan *segment.Plan   // the queries' filter sets, shared by every shard
+	thr  []float64       // backs req.Thresholds
 
 	next    atomic.Int32  // next unclaimed shard
 	pending atomic.Int32  // unfinished shards (+ abandoned once the caller left)
 	refs    atomic.Int32  // the caller plus its helpers
-	stop    atomic.Bool   // mode first: some shard found a match
+	hit     []atomic.Bool // mode first: the query has a match in some shard
+	hits    atomic.Int32  // how many hit flags are set
+	stop    atomic.Bool   // mode first: every query has a match
 	wake    chan struct{} // cap 1: a helper finished the last shard
 	slots   []shardSlot
 }
 
-// begin admits a request and hands it a run holding one verify session
-// per query, or reports the rejection.
-func (s *Server) begin(ctx context.Context, m bitvec.Measure, qs ...bitvec.Vector) (*fanRun, *Fanout) {
+// begin admits a request and hands it a run holding req, with one
+// verify session per query, or reports the rejection.
+func (s *Server) begin(ctx context.Context, req *Request) (*fanRun, *Fanout) {
 	if err := s.gate.acquire(ctx); err != nil {
 		return nil, s.rejected(err)
 	}
@@ -161,10 +153,19 @@ func (s *Server) begin(ctx context.Context, m bitvec.Measure, qs ...bitvec.Vecto
 		r = &fanRun{s: s, wake: make(chan struct{}, 1), slots: make([]shardSlot, len(s.shards)), plan: segment.NewPlan(s.eng)}
 	}
 	r.ctx = ctx
-	for _, q := range qs {
-		r.sess = append(r.sess, verify.Acquire(m, q))
+	r.req.Mode, r.req.K = req.Mode, req.K
+	for _, q := range req.Queries {
+		r.req.Sessions = append(r.req.Sessions, verify.Acquire(req.Measure, q))
 	}
-	r.plan.Reset(qs...)
+	if req.Thresholds != nil {
+		r.thr = append(r.thr[:0], req.Thresholds...)
+		r.req.Thresholds = r.thr
+	}
+	if n := len(req.Queries); cap(r.hit) < n {
+		r.hit = make([]atomic.Bool, n)
+	}
+	r.hit = r.hit[:len(req.Queries)]
+	r.plan.Reset(req.Queries...)
 	return r, nil
 }
 
@@ -181,11 +182,15 @@ func (r *fanRun) unref() {
 	for i := range r.slots {
 		sl := &r.slots[i]
 		sl.state.Store(shardQueued)
-		sl.merged, sl.err, sl.found, sl.stats, sl.list, sl.batch = false, nil, false, segment.QueryStats{}, nil, nil
+		sl.merged, sl.err, sl.res, sl.stats = false, nil, nil, segment.QueryStats{}
 	}
-	clear(r.sess)
-	r.ctx, r.work, r.thresholds, r.sess = nil, nil, nil, r.sess[:0]
+	clear(r.req.Sessions)
+	for i := range r.hit {
+		r.hit[i].Store(false)
+	}
+	r.ctx, r.req = nil, segment.Request{Sessions: r.req.Sessions[:0]}
 	r.plan.Reset()
+	r.hits.Store(0)
 	r.stop.Store(false)
 	r.s.runs.Put(r)
 }
@@ -193,7 +198,7 @@ func (r *fanRun) unref() {
 // release returns the verify sessions and the admission slot: once,
 // after the last shard finished, by the caller or the helper outliving it.
 func (r *fanRun) release() {
-	for _, ses := range r.sess {
+	for _, ses := range r.req.Sessions {
 		verify.Release(ses)
 	}
 	r.s.gate.release()
@@ -220,7 +225,7 @@ func (r *fanRun) runShard(i int) {
 		sl.err = faultinject.Fire(faultinject.ServerShardStall, r.ctx, i)
 	}
 	if sl.err == nil {
-		r.work(r, sl, r.s.shards[i])
+		r.search(sl, r.s.shards[i])
 	}
 	switch sl.err {
 	case nil:
@@ -259,14 +264,13 @@ func (r *fanRun) help() { r.drain(r.next.Add(1) - 1); r.unref() }
 // cooperatively, within one lsf.CancelCheck stride). It must read only
 // merged slots — an abandoned shard may still be writing its own — and
 // unref the run when done.
-func (r *fanRun) fanOut(work shardWork) *Fanout {
+func (r *fanRun) fanOut() *Fanout {
 	s, n := r.s, len(r.slots)
 	helpers := s.workers
 	if helpers <= 0 {
 		helpers = runtime.GOMAXPROCS(0)
 	}
 	helpers = min(helpers, n) - 1
-	r.work = work
 	r.next.Store(1) // shard 0 is the caller's, claimed before any helper starts
 	r.pending.Store(int32(n))
 	r.refs.Store(int32(1 + helpers))
@@ -318,120 +322,107 @@ func (r *fanRun) fanOut(work shardWork) *Fanout {
 	return f
 }
 
-// QueryContext is Query under a deadline: admission-gated, canceled
-// cooperatively inside every shard, degraded to the answering shards'
-// merged match when some miss the deadline. The first shard to find a
-// match stops its siblings, so the work — and the stats — end there, as
-// the paper's query procedure does; which qualifying match is returned
-// when several shards hold one is unspecified. The Fanout is never nil;
-// its Err is non-nil exactly when there is no usable answer (rejected,
-// or zero shards answered).
-func (s *Server) QueryContext(ctx context.Context, q bitvec.Vector, threshold float64, m bitvec.Measure) (segment.Match, segment.QueryStats, bool, *Fanout) {
-	return s.single(ctx, q, m, threshold, func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
-		sl.match, sl.stats, sl.found, sl.err = sh.QueryPlan(lsf.NewStopCheck(r.ctx, &r.stop), r.plan, r.sess[0], r.threshold)
-		if sl.found {
+// search runs the request on one shard. In mode first it raises the
+// stop signal once every query has a match in some shard, which ends
+// the siblings' searches at their next checkpoint.
+func (r *fanRun) search(sl *shardSlot, sh *segment.SegmentedIndex) {
+	if r.req.Mode != segment.ModeFirst {
+		sl.res, sl.stats, sl.err = sh.Search(lsf.NewCancelCheck(r.ctx), r.plan, r.req)
+		return
+	}
+	sl.res, sl.stats, sl.err = sh.Search(lsf.NewStopCheck(r.ctx, &r.stop), r.plan, r.req)
+	for k := range sl.res {
+		if sl.res[k].Found && r.hit[k].CompareAndSwap(false, true) && int(r.hits.Add(1)) == len(r.hit) {
 			r.stop.Store(true)
 		}
-	})
+	}
 }
 
-// QueryBestContext is QueryBest under a deadline (see QueryContext;
-// every shard runs to its end).
-func (s *Server) QueryBestContext(ctx context.Context, q bitvec.Vector, m bitvec.Measure) (segment.Match, segment.QueryStats, bool, *Fanout) {
-	return s.single(ctx, q, m, 0, func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
-		sl.match, sl.stats, sl.found, sl.err = sh.QueryBestPlan(lsf.NewCancelCheck(r.ctx), r.plan, r.sess[0])
-	})
+// Request is one search over every shard: a batch of queries (a single
+// query is a batch of one), their measure, and the segment.Request mode
+// fields that answer them.
+type Request struct {
+	Queries []bitvec.Vector
+	Measure bitvec.Measure
+	// Thresholds, when non-nil, holds each query's minimum similarity.
+	Thresholds []float64
+	Mode       segment.Mode
+	K          int
 }
 
-// better is the merge order of shard winners: similarity descending,
+// Search answers req under ctx: admission-gated (one slot covers the
+// whole batch), planned once — each (query, repetition) filter set is
+// generated once and shared by every shard — and run on every shard by
+// segment.Search, canceled cooperatively inside each shard and degraded
+// to the answering shards' merged answers when some miss the deadline.
+// Each query's shard answers merge by similarity descending, then id
+// ascending; top-k lists are concatenated, ranked and cut to K. In mode
+// first the shards stop once every query has a match, as the paper's
+// query procedure does, and which qualifying match a query gets when
+// several shards hold one is unspecified.
+//
+// The results hold one entry per query. The Fanout is never nil; its
+// Err is non-nil exactly when there is no usable answer (rejected, or
+// zero shards answered).
+func (s *Server) Search(ctx context.Context, req Request) ([]segment.Result, segment.QueryStats, *Fanout) {
+	out := make([]segment.Result, len(req.Queries))
+	stats, f := s.search(ctx, &req, out)
+	return out, stats, f
+}
+
+// search is Search into caller-provided result slots, one per query.
+func (s *Server) search(ctx context.Context, req *Request, out []segment.Result) (agg segment.QueryStats, f *Fanout) {
+	r, f := s.begin(ctx, req)
+	if r == nil {
+		return agg, f
+	}
+	defer r.unref()
+	f = r.fanOut()
+	for i := range r.slots {
+		sl := &r.slots[i]
+		if !sl.merged {
+			continue
+		}
+		agg.Merge(sl.stats)
+		for k, res := range sl.res {
+			switch {
+			case req.Mode == segment.ModeTopK:
+				out[k].Matches = append(out[k].Matches, res.Matches...)
+			case res.Found && (!out[k].Found || better(res.Match, out[k].Match)):
+				out[k].Match, out[k].Found = res.Match, true
+			}
+		}
+	}
+	if req.Mode == segment.ModeTopK {
+		for k := range out {
+			segment.SortMatches(out[k].Matches)
+			out[k].Matches = out[k].Matches[:min(len(out[k].Matches), req.K)]
+			out[k].Found = len(out[k].Matches) > 0
+		}
+	}
+	return agg, f
+}
+
+// better is the merge order of shard answers: similarity descending,
 // ties to the lowest id.
 func better(a, b segment.Match) bool {
 	return a.Similarity > b.Similarity || (a.Similarity == b.Similarity && a.ID < b.ID)
 }
 
-// single runs a one-match mode and merges the shard winners that are
-// part of the answer.
-func (s *Server) single(ctx context.Context, q bitvec.Vector, m bitvec.Measure, threshold float64, work shardWork) (best segment.Match, agg segment.QueryStats, found bool, f *Fanout) {
-	r, f := s.begin(ctx, m, q)
-	if r == nil {
-		return best, agg, false, f
-	}
-	defer r.unref()
-	r.threshold = threshold
-	f = r.fanOut(work)
-	for i := range r.slots {
-		sl := &r.slots[i]
-		if !sl.merged {
-			continue
-		}
-		agg.Merge(sl.stats)
-		if sl.found && (!found || better(sl.match, best)) {
-			best, found = sl.match, true
-		}
-	}
-	return best, agg, found, f
+// QueryContext answers one query in mode first (see Search). It is kept,
+// with QueryBestContext, because the end-to-end benchmark's layer ledger
+// compiles against it. Its answer lands in a stack slot, not a result
+// slice, so the kept entry points allocate what they did before Search.
+func (s *Server) QueryContext(ctx context.Context, q bitvec.Vector, threshold float64, m bitvec.Measure) (segment.Match, segment.QueryStats, bool, *Fanout) {
+	var out [1]segment.Result
+	stats, f := s.search(ctx, &Request{Queries: []bitvec.Vector{q}, Measure: m, Thresholds: []float64{threshold}, Mode: segment.ModeFirst}, out[:])
+	return out[0].Match, stats, out[0].Found, f
 }
 
-// TopKContext is TopK under a deadline (see QueryContext). A partial
-// fan-out returns the merged top-k of the answering shards.
-func (s *Server) TopKContext(ctx context.Context, q bitvec.Vector, k int, m bitvec.Measure) ([]segment.Match, segment.QueryStats, *Fanout) {
-	if k <= 0 {
-		return nil, segment.QueryStats{}, &Fanout{Shards: len(s.shards), Answered: len(s.shards)}
-	}
-	r, f := s.begin(ctx, m, q)
-	if r == nil {
-		return nil, segment.QueryStats{}, f
-	}
-	defer r.unref()
-	r.k = k
-	f = r.fanOut(func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
-		sl.list, sl.stats, sl.err = sh.TopKPlan(lsf.NewCancelCheck(r.ctx), r.plan, r.sess[0], r.k)
-	})
-	var agg segment.QueryStats
-	var all []segment.Match
-	for i := range r.slots {
-		if sl := &r.slots[i]; sl.merged {
-			agg.Merge(sl.stats)
-			all = append(all, sl.list...)
-		}
-	}
-	segment.SortMatches(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all, agg, f
-}
-
-// SearchBatchContext is SearchBatch under a deadline (see
-// QueryContext): one admission slot covers the whole batch, and a
-// partial fan-out merges each query's winners over the answering
-// shards only.
-func (s *Server) SearchBatchContext(ctx context.Context, qs []bitvec.Vector, thresholds []float64, m bitvec.Measure) ([]segment.BatchResult, segment.QueryStats, *Fanout) {
-	if len(qs) == 0 {
-		return nil, segment.QueryStats{}, &Fanout{Shards: len(s.shards), Answered: len(s.shards)}
-	}
-	r, f := s.begin(ctx, m, qs...)
-	if r == nil {
-		return nil, segment.QueryStats{}, f
-	}
-	defer r.unref()
-	r.thresholds = thresholds
-	f = r.fanOut(func(r *fanRun, sl *shardSlot, sh *segment.SegmentedIndex) {
-		sl.batch, sl.stats, sl.err = sh.SearchBatchPlan(lsf.NewCancelCheck(r.ctx), r.plan, r.sess, r.thresholds)
-	})
-	out := make([]segment.BatchResult, len(qs))
-	var agg segment.QueryStats
-	for i := range r.slots {
-		sl := &r.slots[i]
-		if !sl.merged {
-			continue
-		}
-		agg.Merge(sl.stats)
-		for k, r := range sl.batch {
-			if r.Found && (!out[k].Found || better(r.Match, out[k].Match)) {
-				out[k] = r
-			}
-		}
-	}
-	return out, agg, f
+// QueryBestContext answers one query in mode best (see Search and
+// QueryContext).
+func (s *Server) QueryBestContext(ctx context.Context, q bitvec.Vector, m bitvec.Measure) (segment.Match, segment.QueryStats, bool, *Fanout) {
+	var out [1]segment.Result
+	stats, f := s.search(ctx, &Request{Queries: []bitvec.Vector{q}, Measure: m, Mode: segment.ModeBest}, out[:])
+	return out[0].Match, stats, out[0].Found, f
 }

@@ -87,7 +87,13 @@ func TestFanoutFirstStopsAtTheFirstHit(t *testing.T) {
 	m := bitvec.BraunBlanquetMeasure
 	for _, seed := range []uint64{1, 5} {
 		cfg, cw, thr := plantedWorkload(t, n, queries, 1, seed)
-		single, err := segment.New(cfg.Segment)
+		eng, err := segment.NewEngines(cfg.Segment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segCfg := cfg.Segment
+		segCfg.Engines = eng
+		single, err := segment.New(segCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +104,8 @@ func TestFanoutFirstStopsAtTheFirstHit(t *testing.T) {
 		}
 		wantFound := make([]bool, queries)
 		for k, q := range cw.Queries {
-			_, _, wantFound[k] = single.Query(q, thr, m)
+			res, _ := segmentSearch(single, eng, q, m, segment.Request{Mode: segment.ModeFirst, Thresholds: []float64{thr}})
+			wantFound[k] = res.Found
 		}
 		single.WaitIdle()
 		single.Close()
@@ -130,9 +137,8 @@ func TestFanoutFirstStopsAtTheFirstHit(t *testing.T) {
 						// ones behind it not at all.
 						serial, stops, first := 0, 0, segment.QueryStats{}
 						for i, sh := range srv.shards {
-							ses := verify.Acquire(m, q)
-							_, own, hit := sh.QueryWith(ses, thr)
-							verify.Release(ses)
+							res, own := segmentSearch(sh, srv.eng, q, m, segment.Request{Mode: segment.ModeFirst, Thresholds: []float64{thr}})
+							hit := res.Found
 							serial += own.Filters
 							if i == 0 && hit {
 								first = own
@@ -202,9 +208,9 @@ func answersDigest(srv *Server, qs []bitvec.Vector, thr float64) uint64 {
 	}
 	m := bitvec.BraunBlanquetMeasure
 	for _, q := range qs {
-		mt, _, found := srv.QueryBest(q, m)
+		mt, _, found := queryBest(srv, q, m)
 		put(found, mt)
-		top, _ := srv.TopK(q, 5, m)
+		top, _ := queryTopK(srv, q, 5, m)
 		for _, mt := range top {
 			put(true, mt)
 		}
@@ -214,7 +220,7 @@ func answersDigest(srv *Server, qs []bitvec.Vector, thr float64) uint64 {
 		thresholds[i] = thr
 	}
 	for _, ths := range [][]float64{nil, thresholds} {
-		res, _ := srv.SearchBatch(qs, ths, m)
+		res, _ := searchBatch(srv, qs, ths, m)
 		for _, r := range res {
 			put(r.Found, r.Match)
 		}
@@ -299,7 +305,7 @@ func TestFaultStallHelperShard(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	_, _, f := srv.TopKContext(ctx, data[3], 5, bitvec.BraunBlanquetMeasure)
+	_, _, f := srv.Search(ctx, Request{Queries: data[3:4], Measure: bitvec.BraunBlanquetMeasure, Mode: segment.ModeTopK, K: 5})
 	if elapsed := time.Since(start); elapsed < deadline || elapsed > deadline+2*time.Second {
 		t.Errorf("returned after %v, deadline %v", elapsed, deadline)
 	}
@@ -334,8 +340,8 @@ func TestFanoutMixedLoadLeavesNothingBehind(t *testing.T) {
 	wantBest := make([]segment.Match, len(cw.Queries))
 	wantFound := make([]bool, len(cw.Queries))
 	for k, q := range cw.Queries {
-		wantBest[k], _, _ = srv.QueryBest(q, m)
-		_, _, wantFound[k] = srv.Query(q, thr, m)
+		wantBest[k], _, _ = queryBest(srv, q, m)
+		_, _, wantFound[k] = queryFirst(srv, q, thr, m)
 	}
 	baseline := runtime.NumGoroutine()
 
@@ -361,12 +367,13 @@ func TestFanoutMixedLoadLeavesNothingBehind(t *testing.T) {
 					best, _, _, f = srv.QueryBestContext(ctx, q, m)
 					ok = best == wantBest[k]
 				case 2:
-					var top []segment.Match
-					top, _, f = srv.TopKContext(ctx, q, 3, m)
+					var res []segment.Result
+					res, _, f = srv.Search(ctx, Request{Queries: []bitvec.Vector{q}, Measure: m, Mode: segment.ModeTopK, K: 3})
+					top := res[0].Matches
 					ok = len(top) == 0 || top[0].Similarity == wantBest[k].Similarity
 				default:
-					var res []segment.BatchResult
-					res, _, f = srv.SearchBatchContext(ctx, cw.Queries[k:min(k+4, len(cw.Queries))], nil, m)
+					var res []segment.Result
+					res, _, f = srv.Search(ctx, Request{Queries: cw.Queries[k:min(k+4, len(cw.Queries))], Measure: m})
 					ok = len(res) == 0 || res[0].Match.Similarity == wantBest[k].Similarity
 				}
 				cancel()

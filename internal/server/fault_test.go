@@ -334,7 +334,7 @@ func TestFaultPartialBatch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	qs := data[:8]
-	results, _, f := srv.SearchBatchContext(ctx, qs, nil, bitvec.BraunBlanquetMeasure)
+	results, _, f := srv.Search(ctx, Request{Queries: qs, Measure: bitvec.BraunBlanquetMeasure})
 	if err := f.Err(); err != nil {
 		t.Fatalf("batch with one stalled shard failed entirely: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestFaultPartialBatch(t *testing.T) {
 	// The answering shards' results must match a direct (stall-free)
 	// merge over those same shards.
 	restore()
-	full, _, ff := srv.SearchBatchContext(context.Background(), qs, nil, bitvec.BraunBlanquetMeasure)
+	full, _, ff := srv.Search(context.Background(), Request{Queries: qs, Measure: bitvec.BraunBlanquetMeasure})
 	if !ff.Complete() {
 		t.Fatalf("stall-free batch incomplete: %+v", ff.Errs)
 	}

@@ -29,11 +29,10 @@ import (
 // Search modes: "best" (default; most similar candidate), "first"
 // (first candidate at or above "threshold"), "topk" ("k" most similar).
 // "measure" names a similarity measure (bitvec.ParseMeasure);
-// Braun-Blanquet — the paper's — when omitted. Batch search runs the
-// amortizing batch executor (one filter generation for the whole batch
-// and one segment pass per shard) and supports modes "best" and
-// "first"; in batch form "first" returns each query's best match at or
-// above the threshold, deterministically (ties to the lowest id).
+// Braun-Blanquet — the paper's — when omitted. Both endpoints run one
+// Server.Search; batch search supports modes "best" and "first", and in
+// batch form "first" returns each query's best match at or above the
+// threshold, deterministically (ties to the lowest id).
 
 type insertRequest struct {
 	Sets [][]uint32 `json:"sets"`
@@ -218,67 +217,31 @@ func NewHandler(srv *Server, hc HandlerConfig) http.Handler {
 		if !decode(w, r, &req) {
 			return
 		}
-		m := bitvec.BraunBlanquetMeasure
-		if req.Measure != "" {
-			var err error
-			if m, err = bitvec.ParseMeasure(req.Measure); err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		ctx, cancel, err := requestContext(r, hc)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		defer cancel()
-		q := bitvec.New(req.Set...)
-		var resp searchResponse
-		var f *Fanout
+		sreq := Request{Queries: []bitvec.Vector{bitvec.New(req.Set...)}}
 		switch req.Mode {
 		case "", "best":
-			var match segment.Match
-			var found bool
-			match, resp.Stats, found, f = srv.QueryBestContext(ctx, q, m)
-			resp.Found = found
-			if found {
-				resp.Matches = []matchJSON{{ID: match.ID, Similarity: match.Similarity}}
-			}
 		case "first":
-			threshold := hc.DefaultThreshold
-			if req.Threshold != nil {
-				threshold = *req.Threshold
-			}
-			var match segment.Match
-			var found bool
-			match, resp.Stats, found, f = srv.QueryContext(ctx, q, threshold, m)
-			resp.Found = found
-			if found {
-				resp.Matches = []matchJSON{{ID: match.ID, Similarity: match.Similarity}}
-			}
+			sreq.Mode, sreq.Thresholds = segment.ModeFirst, []float64{threshold(hc, req.Threshold)}
 		case "topk":
-			k := req.K
-			if k <= 0 {
-				k = 10
-			}
-			var matches []segment.Match
-			matches, resp.Stats, f = srv.TopKContext(ctx, q, k, m)
-			resp.Found = len(matches) > 0
-			for _, mt := range matches {
-				resp.Matches = append(resp.Matches, matchJSON{ID: mt.ID, Similarity: mt.Similarity})
+			sreq.Mode, sreq.K = segment.ModeTopK, req.K
+			if sreq.K <= 0 {
+				sreq.K = 10
 			}
 		default:
 			httpError(w, http.StatusBadRequest, fmt.Errorf("search: unknown mode %q", req.Mode))
 			return
 		}
-		annotateFanout(hc, w, f, slog.Int("set_bits", len(req.Set)), req.Mode, resp.Stats)
-		if err := f.Err(); err != nil {
-			httpFanoutError(w, err)
+		results, stats, f, ok := serveSearch(w, r, hc, srv, sreq, req.Measure, slog.Int("set_bits", len(req.Set)), req.Mode)
+		if !ok {
 			return
 		}
-		resp.Partial, resp.ShardErrors = f.Partial(), f.Errs
-		if resp.Partial {
-			markPartial(w)
+		res := results[0]
+		resp := searchResponse{Found: res.Found, Stats: stats, Partial: f.Partial(), ShardErrors: f.Errs}
+		if res.Found && sreq.Mode != segment.ModeTopK {
+			res.Matches = []segment.Match{res.Match}
+		}
+		for _, mt := range res.Matches {
+			resp.Matches = append(resp.Matches, matchJSON{ID: mt.ID, Similarity: mt.Similarity})
 		}
 		writeJSON(w, resp)
 	})
@@ -291,48 +254,26 @@ func NewHandler(srv *Server, hc HandlerConfig) http.Handler {
 			httpError(w, http.StatusBadRequest, errors.New("search/batch: empty sets"))
 			return
 		}
-		m := bitvec.BraunBlanquetMeasure
-		if req.Measure != "" {
-			var err error
-			if m, err = bitvec.ParseMeasure(req.Measure); err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		var thresholds []float64
+		// Batch "first" is mode best above the threshold: each query's
+		// answer is exhaustive and deterministic, not the first hit.
+		sreq := Request{Queries: make([]bitvec.Vector, len(req.Sets))}
 		switch req.Mode {
 		case "", "best":
 		case "first":
-			threshold := hc.DefaultThreshold
-			if req.Threshold != nil {
-				threshold = *req.Threshold
-			}
-			thresholds = make([]float64, len(req.Sets))
-			for i := range thresholds {
-				thresholds[i] = threshold
+			sreq.Thresholds = make([]float64, len(req.Sets))
+			for i, t := 0, threshold(hc, req.Threshold); i < len(req.Sets); i++ {
+				sreq.Thresholds[i] = t
 			}
 		default:
 			httpError(w, http.StatusBadRequest, fmt.Errorf("search/batch: unknown mode %q", req.Mode))
 			return
 		}
-		qs := make([]bitvec.Vector, len(req.Sets))
 		for i, bits := range req.Sets {
-			qs[i] = bitvec.New(bits...)
+			sreq.Queries[i] = bitvec.New(bits...)
 		}
-		ctx, cancel, err := requestContext(r, hc)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		results, stats, f, ok := serveSearch(w, r, hc, srv, sreq, req.Measure, slog.Int("batch_queries", len(req.Sets)), req.Mode)
+		if !ok {
 			return
-		}
-		defer cancel()
-		results, stats, f := srv.SearchBatchContext(ctx, qs, thresholds, m)
-		annotateFanout(hc, w, f, slog.Int("batch_queries", len(req.Sets)), req.Mode, stats)
-		if err := f.Err(); err != nil {
-			httpFanoutError(w, err)
-			return
-		}
-		if f.Partial() {
-			markPartial(w)
 		}
 		resp := batchSearchResponse{
 			Results:     make([]batchResultJSON, len(results)),
@@ -393,6 +334,46 @@ func NewHandler(srv *Server, hc HandlerConfig) http.Handler {
 		writeJSON(w, snapshotResponse{Bytes: n})
 	})
 	return recoverMiddleware(mux, hc.Logger)
+}
+
+// serveSearch is the shared part of both search endpoints: the measure,
+// the deadline, the fan-out, the slow-request annotation, and the error
+// status or partial marker. It reports false when it has written an
+// error response.
+func serveSearch(w http.ResponseWriter, r *http.Request, hc HandlerConfig, srv *Server, req Request, measure string, shape slog.Attr, mode string) ([]segment.Result, segment.QueryStats, *Fanout, bool) {
+	req.Measure = bitvec.BraunBlanquetMeasure
+	if measure != "" {
+		var err error
+		if req.Measure, err = bitvec.ParseMeasure(measure); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return nil, segment.QueryStats{}, nil, false
+		}
+	}
+	ctx, cancel, err := requestContext(r, hc)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return nil, segment.QueryStats{}, nil, false
+	}
+	defer cancel()
+	results, stats, f := srv.Search(ctx, req)
+	annotateFanout(hc, w, f, shape, mode, stats)
+	if err := f.Err(); err != nil {
+		httpFanoutError(w, err)
+		return nil, stats, f, false
+	}
+	if f.Partial() {
+		markPartial(w)
+	}
+	return results, stats, f, true
+}
+
+// threshold is a mode-first request's threshold: its own, or the
+// configured default when it omits one.
+func threshold(hc HandlerConfig, t *float64) float64 {
+	if t != nil {
+		return *t
+	}
+	return hc.DefaultThreshold
 }
 
 // requestContext derives the request's deadline context: ?timeout_ms=

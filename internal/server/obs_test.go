@@ -156,7 +156,7 @@ func TestObsEndpointMetrics(t *testing.T) {
 
 	// The segment layer observed the query traversal and the memtable
 	// freezes from the 400 inserts.
-	if m.Segment.QueryCandidates.Count() == 0 {
+	if m.Segment.QueryCandidates[0].Count() == 0 {
 		t.Fatal("segment query-candidates histogram never observed")
 	}
 	// Freezes run on the background worker; give it a moment.

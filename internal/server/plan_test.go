@@ -49,15 +49,15 @@ func TestPlanGeneratesEachFilterSetOnce(t *testing.T) {
 					return float64(gen.Load() - before)
 				}
 				for k, q := range cw.Queries {
-					closeTo(t, fmt.Sprintf("query %d best filter sets", k), generated(func() { srv.QueryBest(q, m) }), reps, 0)
-					closeTo(t, fmt.Sprintf("query %d top-k filter sets", k), generated(func() { srv.TopK(q, 5, m) }), reps, 0)
-					if got := generated(func() { srv.Query(q, thr, m) }); got < 1 || got > reps {
+					closeTo(t, fmt.Sprintf("query %d best filter sets", k), generated(func() { queryBest(srv, q, m) }), reps, 0)
+					closeTo(t, fmt.Sprintf("query %d top-k filter sets", k), generated(func() { queryTopK(srv, q, 5, m) }), reps, 0)
+					if got := generated(func() { queryFirst(srv, q, thr, m) }); got < 1 || got > reps {
 						t.Errorf("query %d first: %v filter sets, want 1 to %v", k, got, reps)
 					}
 				}
 				for lo := 0; lo < queries; lo += batch {
 					qs := cw.Queries[lo : lo+batch]
-					closeTo(t, fmt.Sprintf("batch %d filter sets", lo/batch), generated(func() { srv.SearchBatch(qs, nil, m) }), reps*batch, 0)
+					closeTo(t, fmt.Sprintf("batch %d filter sets", lo/batch), generated(func() { searchBatch(srv, qs, nil, m) }), reps*batch, 0)
 				}
 			})
 		}
@@ -96,6 +96,11 @@ func TestTruncationFallbackAgrees(t *testing.T) {
 	thr := ref.Threshold()
 	m := bitvec.BraunBlanquetMeasure
 	segCfg := segment.Config{Params: params, N: n, MemtableSize: 256, MaxSegments: 4}
+	eng, err := segment.NewEngines(segCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segCfg.Engines = eng
 	single, err := segment.New(segCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,11 +143,11 @@ func TestTruncationFallbackAgrees(t *testing.T) {
 			hits++
 		}
 
-		mt, st, found := single.Query(q, thr, m)
-		check("segment first", k, answer{found, mt.Similarity}, firstWant[k])
+		sr, st := segmentSearch(single, eng, q, m, segment.Request{Mode: segment.ModeFirst, Thresholds: []float64{thr}})
+		check("segment first", k, answer{sr.Found, sr.Match.Similarity}, firstWant[k])
 		closeTo(t, "segment first FellBack", float64(st.FellBack), float64(fell[k]), 0)
-		mt, _, found = single.QueryBest(q, m)
-		check("segment best", k, answer{found, mt.Similarity}, bestWant[k])
+		sr, _ = segmentSearch(single, eng, q, m, segment.Request{Mode: segment.ModeBest})
+		check("segment best", k, answer{sr.Found, sr.Match.Similarity}, bestWant[k])
 	}
 	if fallbacks < 3*queries/4 || hits < queries/2 {
 		t.Fatalf("%d of %d queries fell back, %d have a match at %v; the comparison is vacuous", fallbacks, queries, hits, thr)
@@ -154,17 +159,17 @@ func TestTruncationFallbackAgrees(t *testing.T) {
 		name := func(mode string) string { return fmt.Sprintf("shards=%d %s", shards, mode) }
 		fellBack := 0 // Σ stats.FellBack, what the counter must have seen
 		for k, q := range cw.Queries {
-			mt, st, found := srv.Query(q, thr, m)
+			mt, st, found := queryFirst(srv, q, thr, m)
 			check(name("first"), k, answer{found, mt.Similarity}, firstWant[k])
 			if (st.FellBack > 0) != (fell[k] > 0) {
 				t.Errorf("%s query %d: stats %+v, core fell back: %v", name("first"), k, st, fell[k] > 0)
 			}
 			fellBack += st.FellBack
-			mt, st, found = srv.QueryBest(q, m)
+			mt, st, found = queryBest(srv, q, m)
 			check(name("best"), k, answer{found, mt.Similarity}, bestWant[k])
 			closeTo(t, name("best FellBack"), float64(st.FellBack), float64(shards*fell[k]), 0)
 			fellBack += st.FellBack
-			top, st := srv.TopK(q, 3, m)
+			top, st := queryTopK(srv, q, 3, m)
 			got := answer{}
 			if len(top) > 0 {
 				got = answer{true, top[0].Similarity}
@@ -181,7 +186,7 @@ func TestTruncationFallbackAgrees(t *testing.T) {
 			if ths != nil {
 				want = firstWant
 			}
-			res, st := srv.SearchBatch(cw.Queries, ths, m)
+			res, st := searchBatch(srv, cw.Queries, ths, m)
 			for k, r := range res {
 				check(name(fmt.Sprintf("batch thresholds=%v", ths != nil)), k, answer{r.Found, r.Match.Similarity}, want[k])
 			}

@@ -11,7 +11,6 @@ package server
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -320,50 +319,6 @@ func (s *Server) Delete(id int64) bool {
 		return false
 	}
 	return s.shardOf(id).Delete(id)
-}
-
-// Query fans the threshold query out and returns a match with
-// similarity >= threshold if any shard finds one; the first shard to
-// find one stops the others (see QueryContext). The query is packed
-// once into a pooled verification session shared by every shard
-// goroutine (Session verification is read-only, so the concurrent
-// fan-out is safe); steady-state serving allocates only the returned
-// Fanout.
-func (s *Server) Query(q bitvec.Vector, threshold float64, m bitvec.Measure) (segment.Match, segment.QueryStats, bool) {
-	match, stats, found, _ := s.QueryContext(context.Background(), q, threshold, m)
-	return match, stats, found
-}
-
-// QueryBest fans out and returns the globally most similar candidate
-// (ties to the lowest id). Like Query, one packed session serves every
-// shard.
-func (s *Server) QueryBest(q bitvec.Vector, m bitvec.Measure) (segment.Match, segment.QueryStats, bool) {
-	match, stats, found, _ := s.QueryBestContext(context.Background(), q, m)
-	return match, stats, found
-}
-
-// SearchBatch answers a batch of queries through the amortizing batch
-// executor: each query is packed into a verify session exactly once,
-// the sessions are fanned out to every shard together (sessions are
-// read-only during verification, so the concurrent fan-out is safe),
-// one filter generation per (query, repetition) serves every shard, and
-// each shard runs one segment.SearchBatch pass — one read lock, each
-// frozen segment visited once per batch in posting-array order.
-// thresholds selects the semantics exactly as in segment.SearchBatch:
-// nil means best-match per query, otherwise thresholds[k] is query k's
-// minimum similarity.
-// Per query, shard winners aggregate by similarity desc, id asc — the
-// same deterministic rule QueryBest uses.
-func (s *Server) SearchBatch(qs []bitvec.Vector, thresholds []float64, m bitvec.Measure) ([]segment.BatchResult, segment.QueryStats) {
-	out, stats, _ := s.SearchBatchContext(context.Background(), qs, thresholds, m)
-	return out, stats
-}
-
-// TopK fans out, merges the shard top-k lists, and returns the global
-// top k (similarity desc, id asc — same order as segment.TopK).
-func (s *Server) TopK(q bitvec.Vector, k int, m bitvec.Measure) ([]segment.Match, segment.QueryStats) {
-	all, stats, _ := s.TopKContext(context.Background(), q, k, m)
-	return all, stats
 }
 
 // Stats aggregates shard size reports. The WAL* fields sum the

@@ -62,7 +62,13 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatalf("ids[%d] = %d, want %d", i, id, i)
 		}
 	}
-	single, err := segment.New(cfg.Segment)
+	eng, err := segment.NewEngines(cfg.Segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segCfg := cfg.Segment
+	segCfg.Engines = eng
+	single, err := segment.New(segCfg)
 	if err != nil {
 		t.Fatalf("segment.New: %v", err)
 	}
@@ -88,13 +94,15 @@ func TestShardedEquivalence(t *testing.T) {
 	qs := testData(60)
 	for qi, q := range qs {
 		// Full ranked candidate list (k = n) must agree entry by entry.
-		got, _ := srv.TopK(q, n, m)
-		want, _ := single.TopK(q, n, m)
+		got, _ := queryTopK(srv, q, n, m)
+		top, _ := segmentSearch(single, eng, q, m, segment.Request{Mode: segment.ModeTopK, K: n})
+		want := top.Matches
 		if !slices.Equal(got, want) {
 			t.Fatalf("query %d: sharded top-k %v, single %v", qi, got, want)
 		}
-		gm, _, gf := srv.QueryBest(q, m)
-		wm, _, wf := single.QueryBest(q, m)
+		gm, _, gf := queryBest(srv, q, m)
+		best, _ := segmentSearch(single, eng, q, m, segment.Request{Mode: segment.ModeBest})
+		wm, wf := best.Match, best.Found
 		if gf != wf {
 			t.Fatalf("query %d: found %v vs %v", qi, gf, wf)
 		}
@@ -103,7 +111,7 @@ func TestShardedEquivalence(t *testing.T) {
 		}
 		// Threshold query: any hit the router reports must also exist in
 		// the single index's candidate set at that similarity.
-		tm, _, tf := srv.Query(q, 0.5, m)
+		tm, _, tf := queryFirst(srv, q, 0.5, m)
 		if tf {
 			if tm.Similarity < 0.5 {
 				t.Fatalf("query %d: threshold hit below threshold: %v", qi, tm)
@@ -143,8 +151,8 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 	}
 	m := bitvec.BraunBlanquetMeasure
 	for qi, q := range testData(40) {
-		got, _ := restored.TopK(q, n, m)
-		want, _ := srv.TopK(q, n, m)
+		got, _ := queryTopK(restored, q, n, m)
+		want, _ := queryTopK(srv, q, n, m)
 		if !slices.Equal(got, want) {
 			t.Fatalf("query %d: restored top-k differs", qi)
 		}
@@ -378,7 +386,7 @@ func TestWorkerClampShardFanout(t *testing.T) {
 	if _, err := srv.Insert(planted); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	if _, _, found := srv.QueryBest(planted, bitvec.BraunBlanquetMeasure); !found {
+	if _, _, found := queryBest(srv, planted, bitvec.BraunBlanquetMeasure); !found {
 		t.Fatal("planted query found nothing")
 	}
 }

@@ -43,13 +43,13 @@ func assertServersAgree(t *testing.T, got, want *Server, queries []bitvec.Vector
 		t.Fatalf("live: recovered %d, reference %d", g, w)
 	}
 	for qi, q := range queries {
-		gm, _ := got.TopK(q, 10, bitvec.BraunBlanquetMeasure)
-		wm, _ := want.TopK(q, 10, bitvec.BraunBlanquetMeasure)
+		gm, _ := queryTopK(got, q, 10, bitvec.BraunBlanquetMeasure)
+		wm, _ := queryTopK(want, q, 10, bitvec.BraunBlanquetMeasure)
 		if !slices.Equal(gm, wm) {
 			t.Fatalf("query %d: top-k differs\nrecovered: %v\nreference: %v", qi, gm, wm)
 		}
-		gb, _, gok := got.QueryBest(q, bitvec.BraunBlanquetMeasure)
-		wb, _, wok := want.QueryBest(q, bitvec.BraunBlanquetMeasure)
+		gb, _, gok := queryBest(got, q, bitvec.BraunBlanquetMeasure)
+		wb, _, wok := queryBest(want, q, bitvec.BraunBlanquetMeasure)
 		if gok != wok || gb != wb {
 			t.Fatalf("query %d: best differs: %v/%v vs %v/%v", qi, gb, gok, wb, wok)
 		}
