@@ -26,7 +26,9 @@ import (
 	"skewsim/internal/lsf"
 	"skewsim/internal/minhash"
 	"skewsim/internal/prefix"
+	"skewsim/internal/segment"
 	"skewsim/internal/splitsearch"
+	"skewsim/internal/verify"
 )
 
 // --- paper artifacts -------------------------------------------------------
@@ -389,15 +391,16 @@ func BenchmarkAblationConditionalWeighting(b *testing.B) {
 
 // --- query pipeline (dedup refactor, batching, parallel queries) -----------
 
-// BenchmarkQueryPath compares the three entry points of the unified
-// candidate pipeline on the Fig1 workload. Every op processes the full
-// query set, so ns/op and allocs/op are directly comparable between
-// variants; run with -benchmem to see the allocation profile of the
-// epoch-stamped dedup (the pre-refactor traversal allocated a fresh
-// map[int32]struct{} plus one string key per bucket probe per query).
+// BenchmarkQueryPath times the query entry points on the Fig1 workload.
+// Every op processes the full query set, so ns/op and allocs/op are
+// directly comparable between variants: core's single-query entry
+// points in a loop, one mode-best segment.Search over the whole set
+// (batch-best: each repetition's filter sets are planned once for the
+// batch), and core's query loop fanned out over workers.
 func BenchmarkQueryPath(b *testing.B) {
 	d, w := benchWorkload(b, 2000)
-	ix, err := core.BuildCorrelated(d, w.Data, 2.0/3, core.Options{Seed: 1, Repetitions: 4})
+	opt := core.Options{Seed: 1, Repetitions: 4}
+	ix, err := core.BuildCorrelated(d, w.Data, 2.0/3, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,16 +412,6 @@ func BenchmarkQueryPath(b *testing.B) {
 			}
 		}
 	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ix.BatchQuery(w.Queries)
-		}
-	})
-	// best-loop vs batch-best is the amortizing-executor comparison:
-	// same exhaustive best-match semantics, but batch-best generates
-	// filters rep-major and resolves buckets for the whole batch before
-	// walking postings, so hash probes and filter generation amortize.
 	b.Run("best-loop", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -427,10 +420,35 @@ func BenchmarkQueryPath(b *testing.B) {
 			}
 		}
 	})
+	params, err := core.EngineParams(core.Correlated, d, len(w.Data), 2.0/3, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := segment.Config{Params: params, N: len(w.Data)}
+	if cfg.Engines, err = segment.NewEngines(cfg); err != nil {
+		b.Fatal(err)
+	}
+	seg, err := segment.BulkLoad(cfg, w.Data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := segment.NewPlan(cfg.Engines)
+	sess := make([]*verify.Session, len(w.Queries))
+	searchBatch := func() {
+		for k, q := range w.Queries {
+			sess[k] = verify.Acquire(bitvec.BraunBlanquetMeasure, q)
+		}
+		p.Reset(w.Queries...)
+		seg.Search(nil, p, segment.Request{Sessions: sess, Mode: segment.ModeBest})
+		for _, ses := range sess {
+			verify.Release(ses)
+		}
+	}
+	searchBatch() // grows the plan's arenas to the batch
 	b.Run("batch-best", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ix.BatchQueryBest(w.Queries)
+			searchBatch()
 		}
 	})
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
@@ -470,7 +488,7 @@ func BenchmarkLSFTraversal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := lsf.BuildIndexParallel(engine, w.Data, 0)
+	ix, err := lsf.BuildIndex(engine, w.Data)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -504,35 +522,22 @@ func BenchmarkLSFTraversal(b *testing.B) {
 
 // --- extension subsystems ---------------------------------------------------
 
-func BenchmarkBuildParallelSpeedup(b *testing.B) {
-	d, w := benchWorkload(b, 2000)
-	for _, workers := range []int{0, -1} {
-		name := "serial"
-		if workers != 0 {
-			name = "gomaxprocs"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildCorrelated(d, w.Data, 2.0/3, core.Options{
-					Seed: 3, Repetitions: 4, Workers: workers,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
+// BenchmarkSerializeIndex times a snapshot of a bulk-loaded index:
+// one frozen segment's vectors and bucket dumps.
 func BenchmarkSerializeIndex(b *testing.B) {
 	d, w := benchWorkload(b, 1000)
-	ix, err := core.BuildCorrelated(d, w.Data, 2.0/3, core.Options{Seed: 1, Repetitions: 4})
+	params, err := core.EngineParams(core.Correlated, d, len(w.Data), 2.0/3, core.Options{Seed: 1, Repetitions: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := segment.BulkLoad(segment.Config{Params: params, N: len(w.Data)}, w.Data)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var bytesOut int64
 	for i := 0; i < b.N; i++ {
-		n, err := ix.WriteTo(io.Discard)
+		n, err := ix.WriteSnapshot(io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}

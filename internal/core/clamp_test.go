@@ -9,10 +9,10 @@ import (
 	"skewsim/internal/hashing"
 )
 
-// TestParallelWorkerClamp: tiny batches through QueryParallel and
-// BatchCandidates with an absurd worker bound must match the serial
-// paths exactly (the clamp in lsf.ForEachParallel keeps the pool at
-// len(qs), so no idle goroutines and no reordering).
+// TestParallelWorkerClamp: a tiny batch through QueryParallel with an
+// absurd worker bound must match Query in a loop exactly (the clamp in
+// lsf.ForEachParallel keeps the pool at len(qs), so no idle goroutines
+// and no reordering).
 func TestParallelWorkerClamp(t *testing.T) {
 	d, err := dist.NewProduct(dist.Zipf(64, 0.5, 1.0))
 	if err != nil {
@@ -26,21 +26,13 @@ func TestParallelWorkerClamp(t *testing.T) {
 	}
 	qs := d.SampleN(rng, 2) // far fewer queries than workers
 
-	serial := ix.BatchQuery(qs)
+	serial := make([]Result, len(qs))
+	for k, q := range qs {
+		serial[k] = ix.Query(q)
+	}
 	parallel := ix.QueryParallel(qs, 512)
 	if !slices.Equal(serial, parallel) {
 		t.Fatalf("QueryParallel(workers=512) diverged on %d queries", len(qs))
-	}
-
-	wantCands := make([][]int32, len(qs))
-	for i, q := range qs {
-		wantCands[i] = ix.Candidates(q)
-	}
-	gotCands := ix.BatchCandidates(qs, 512)
-	for i := range qs {
-		if !slices.Equal(wantCands[i], gotCands[i]) {
-			t.Fatalf("BatchCandidates(workers=512) diverged on query %d", i)
-		}
 	}
 
 	var none []bitvec.Vector

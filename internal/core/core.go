@@ -21,16 +21,16 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 
 	"skewsim/internal/bitvec"
 	"skewsim/internal/dist"
 	"skewsim/internal/lsf"
 	"skewsim/internal/rho"
+	"skewsim/internal/segment"
 	"skewsim/internal/verify"
 )
 
@@ -72,37 +72,10 @@ type Options struct {
 	// (0 = engine defaults).
 	MaxDepth            int
 	MaxFiltersPerVector int
-	// Workers parallelizes filter generation during preprocessing
-	// (0 = serial; negative = GOMAXPROCS). The built index is
-	// bit-identical regardless of the worker count.
-	Workers int
 	// Weigher overrides the stopping rule's path-information accounting
 	// (nil = the paper's independent-coordinates rule). Use
 	// lsf.NewClusterWeigher for the §9 correlation-aware extension.
-	// Indexes with a custom weigher cannot be serialized.
 	Weigher lsf.PathWeigher
-	// DisableFallback turns off the linear-scan fallback used when a
-	// query's filter generation exceeds the work budget. Mainly for
-	// experiments that want to observe raw truncation behaviour.
-	DisableFallback bool
-}
-
-// Stats aggregates work across repetitions for one query.
-type Stats struct {
-	Repetitions int // repetitions actually touched
-	Filters     int // Σ |F(q)| over touched repetitions
-	Candidates  int // Σ candidate occurrences (Lemma 7's quantity)
-	Distinct    int // Σ per-repetition distinct candidates streamed
-	// (verification itself is deduplicated index-wide, so at most
-	// Distinct candidates are actually verified per query)
-	FellBack bool
-}
-
-func (s *Stats) add(q lsf.QueryStats) {
-	s.Repetitions++
-	s.Filters += q.Filters
-	s.Candidates += q.Candidates
-	s.Distinct += q.Distinct
 }
 
 // Result of a query.
@@ -112,91 +85,62 @@ type Result struct {
 	// Similarity under the verification measure.
 	Similarity float64
 	Found      bool
-	Stats      Stats
+	Stats      segment.QueryStats
 }
 
-// Index is a built SkewSearch structure.
+// Index is a built SkewSearch structure: the paper's parameters over a
+// bulk-loaded segment.SegmentedIndex, whose one search loop answers
+// every query. The index owns no goroutine and needs no Close.
 type Index struct {
 	mode      Mode
 	d         *dist.Product
-	data      []bitvec.Vector
-	reps      []*lsf.Index
+	alpha     float64 // correlated mode only
 	threshold float64 // verification threshold b1
 	measure   bitvec.Measure
-	alpha     float64 // correlated mode only
-	b1        float64 // adversarial mode only
-	fallback  bool
-	// visitPool recycles the epoch-stamped sets that deduplicate
-	// candidates across repetitions (Query, QueryBest, Candidates,
-	// QueryTopK).
-	visitPool lsf.VisitedPool
-	// packed is the word-packed form of data, built once per index and
-	// shared by every repetition and by the verification engine: a
-	// candidate's similarity is a popcount intersection against the
-	// query's bitmap, never a re-walk of the sorted slices.
-	packed *bitvec.PackedSet
-	// candHint tracks the last few candidate-set sizes (EWMA-ish: plain
-	// last-seen) so Candidates can preallocate its output.
-	candHint atomic.Int64
-	// retained for serialization: engine seeds and limits.
-	seeds         []uint64
-	maxDepth      int
-	maxFilters    int
-	customWeigher bool
+	seg       *segment.SegmentedIndex
 }
 
 // BuildAdversarial preprocesses data for adversarial queries with
 // similarity threshold b1 ∈ (0, 1].
 func BuildAdversarial(d *dist.Product, data []bitvec.Vector, b1 float64, opt Options) (*Index, error) {
-	if d == nil {
-		return nil, errors.New("core: nil distribution")
-	}
-	if len(data) == 0 {
-		return nil, errors.New("core: empty dataset")
-	}
 	if b1 <= 0 || b1 > 1 {
 		return nil, fmt.Errorf("core: b1 = %v outside (0, 1]", b1)
 	}
-	ix := &Index{
-		mode:      Adversarial,
-		d:         d,
-		data:      data,
-		threshold: b1,
-		b1:        b1,
-		measure:   opt.Measure,
-		fallback:  !opt.DisableFallback,
-	}
-	if err := ix.buildReps(b1, opt); err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return build(Adversarial, d, data, b1, opt)
 }
 
 // BuildCorrelated preprocesses data for correlated queries with
 // correlation α ∈ (0, 1].
 func BuildCorrelated(d *dist.Product, data []bitvec.Vector, alpha float64, opt Options) (*Index, error) {
+	if alpha <= 0 || alpha > 1 {
+		return nil, fmt.Errorf("core: alpha = %v outside (0, 1]", alpha)
+	}
+	return build(Correlated, d, data, alpha, opt)
+}
+
+// build bulk-loads data under the mode's engines; param is b1 or α.
+func build(mode Mode, d *dist.Product, data []bitvec.Vector, param float64, opt Options) (*Index, error) {
 	if d == nil {
 		return nil, errors.New("core: nil distribution")
 	}
 	if len(data) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("core: alpha = %v outside (0, 1]", alpha)
-	}
-	ix := &Index{
-		mode: Correlated,
-		d:    d,
-		data: data,
-		// Lemma 10: the planted pair has B ≥ α/1.3 whp while uncorrelated
-		// pairs sit below α/1.5.
-		threshold: alpha / 1.3,
-		measure:   opt.Measure,
-		alpha:     alpha,
-		fallback:  !opt.DisableFallback,
-	}
-	if err := ix.buildReps(alpha, opt); err != nil {
+	params, err := EngineParams(mode, d, len(data), param, opt)
+	if err != nil {
 		return nil, err
+	}
+	threshold, err := VerificationThreshold(mode, param)
+	if err != nil {
+		return nil, err
+	}
+	seg, err := segment.BulkLoad(segment.Config{Params: params, N: len(data)}, data)
+	if err != nil {
+		return nil, err
+	}
+	ix := &Index{mode: mode, d: d, threshold: threshold, measure: opt.Measure, seg: seg}
+	if mode == Correlated {
+		ix.alpha = param
 	}
 	return ix, nil
 }
@@ -237,51 +181,6 @@ func correlatedThreshold(d *dist.Product, n int, alpha float64) lsf.ThresholdFun
 	}
 }
 
-func (ix *Index) buildReps(param float64, opt Options) error {
-	n := len(ix.data)
-	params, err := EngineParams(ix.mode, ix.d, n, param, opt)
-	if err != nil {
-		return err
-	}
-	reps := len(params)
-	ix.reps = make([]*lsf.Index, reps)
-	ix.seeds = make([]uint64, reps)
-	ix.maxDepth = opt.MaxDepth
-	ix.maxFilters = opt.MaxFiltersPerVector
-	ix.customWeigher = opt.Weigher != nil
-	for r := range ix.reps {
-		ix.seeds[r] = params[r].Seed
-		engine, err := lsf.NewEngine(n, params[r])
-		if err != nil {
-			return err
-		}
-		if opt.Workers != 0 {
-			workers := opt.Workers
-			if workers < 0 {
-				workers = 0 // BuildIndexParallel resolves to GOMAXPROCS
-			}
-			ix.reps[r], err = lsf.BuildIndexParallel(engine, ix.data, workers)
-		} else {
-			ix.reps[r], err = lsf.BuildIndex(engine, ix.data)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	ix.attachPacked()
-	return nil
-}
-
-// attachPacked builds the word-packed form of the dataset once and
-// shares it with every repetition, so index-level and repetition-level
-// queries verify candidates by popcount over the same arenas.
-func (ix *Index) attachPacked() {
-	ix.packed = bitvec.NewPackedSet(ix.data)
-	for _, rep := range ix.reps {
-		rep.UsePacked(ix.packed)
-	}
-}
-
 // Mode returns the index's mode.
 func (ix *Index) Mode() Mode { return ix.mode }
 
@@ -290,198 +189,54 @@ func (ix *Index) Mode() Mode { return ix.mode }
 func (ix *Index) Threshold() float64 { return ix.threshold }
 
 // Repetitions returns the number of filter instances.
-func (ix *Index) Repetitions() int { return len(ix.reps) }
+func (ix *Index) Repetitions() int { return ix.seg.Repetitions() }
 
 // Data returns the indexed vectors.
-func (ix *Index) Data() []bitvec.Vector { return ix.data }
-
-// BuildStats sums construction statistics over repetitions.
-func (ix *Index) BuildStats() lsf.BuildStats {
-	var total lsf.BuildStats
-	for _, r := range ix.reps {
-		st := r.Stats()
-		total.Vectors = st.Vectors
-		total.TotalFilters += st.TotalFilters
-		total.Buckets += st.Buckets
-		total.Truncated += st.Truncated
-	}
-	return total
-}
+func (ix *Index) Data() []bitvec.Vector { return ix.seg.Data() }
 
 // Query searches for a vector with similarity at least the verification
-// threshold, walking repetitions until one succeeds. If every repetition
-// truncates (work budget) and fallback is enabled, it degrades to a
-// linear scan so correctness never silently drops.
-//
-// The query's packed form is materialized once (a pooled verify.Session)
-// and reused across every repetition, and candidates are deduplicated
-// index-wide: a candidate that failed verification in one repetition is
-// never re-verified when a later repetition surfaces it again.
+// threshold: a mode-first segment search, walking repetitions until one
+// succeeds. A query every repetition of which truncates (work budget)
+// is answered by an exact scan, so correctness never silently drops.
 func (ix *Index) Query(q bitvec.Vector) Result {
-	var res Result
-	res.ID = -1
 	ses := verify.Acquire(ix.measure, q)
 	defer verify.Release(ses)
-	vis := ix.visitPool.Get(len(ix.data))
-	defer ix.visitPool.Put(vis)
-	allTruncated := true
-	for _, rep := range ix.reps {
-		st := rep.ForEachCandidate(q, func(id int32) bool {
-			if !vis.FirstVisit(id) {
-				return true
-			}
-			if sim, ok := ses.AtLeast(ix.packed, ix.data, id, ix.threshold); ok {
-				res.ID, res.Similarity, res.Found = int(id), sim, true
-				return false
-			}
-			return true
-		})
-		res.Stats.add(st)
-		if !st.Truncated {
-			allTruncated = false
-		}
-		if res.Found {
-			return res
-		}
-	}
-	if allTruncated && ix.fallback {
-		res.Stats.FellBack = true
-		id, sim, found := ix.linearScan(ses)
-		if found {
-			res.ID, res.Similarity, res.Found = id, sim, true
-		}
-	}
-	return res
+	return result(ix.seg.QueryWithContext(context.Background(), ses, ix.threshold))
 }
 
 // QueryBest returns the most similar candidate across all repetitions,
-// regardless of threshold. Found is false only when no repetition yields
-// any candidate. Like Query it shares one packed query and one visited
-// set across repetitions; each candidate is verified exactly once,
-// pruned against the running best.
+// regardless of threshold, ties to the lowest id. Found is false only
+// when no repetition yields any candidate. A query that finds none and
+// whose every repetition truncates is answered by an exact best-match
+// scan instead.
 func (ix *Index) QueryBest(q bitvec.Vector) Result {
-	var res Result
-	res.ID = -1
-	res.Similarity = -1
 	ses := verify.Acquire(ix.measure, q)
 	defer verify.Release(ses)
-	vis := ix.visitPool.Get(len(ix.data))
-	defer ix.visitPool.Put(vis)
-	for _, rep := range ix.reps {
-		st := rep.ForEachCandidate(q, func(id int32) bool {
-			if !vis.FirstVisit(id) {
-				return true
-			}
-			if sim, ok := ses.MoreThan(ix.packed, ix.data, id, res.Similarity); ok {
-				res.ID, res.Similarity, res.Found = int(id), sim, true
-			}
-			return true
-		})
-		res.Stats.add(st)
+	return result(ix.seg.QueryBestWithContext(context.Background(), ses))
+}
+
+// result converts a one-query segment answer. The error is dropped: a
+// search under context.Background cannot be cancelled.
+func result(m segment.Match, st segment.QueryStats, found bool, _ error) Result {
+	if !found {
+		return Result{ID: -1, Stats: st}
 	}
-	if !res.Found {
-		res.Similarity = 0
-	}
-	return res
+	return Result{ID: int(m.ID), Similarity: m.Similarity, Found: true, Stats: st}
+}
+
+// QueryParallel answers the queries in input order through Query, fanned
+// out over `workers` goroutines (workers <= 0 selects GOMAXPROCS).
+func (ix *Index) QueryParallel(qs []bitvec.Vector, workers int) []Result {
+	out := make([]Result, len(qs))
+	lsf.ForEachParallel(len(qs), workers, func(k int) {
+		out[k] = ix.Query(qs[k])
+	})
+	return out
 }
 
 // Candidates returns the distinct candidate ids over all repetitions.
 // Used by the join driver and by experiments analyzing candidate sets.
-// Each repetition streams its candidates straight into the cross-
-// repetition dedup, so no per-repetition slices are materialized. The
-// output is preallocated from the last-seen candidate count (seeded
-// from BuildStats on the first call), so the join driver's steady-state
-// loop does not regrow it element by element.
-func (ix *Index) Candidates(q bitvec.Vector) []int32 {
-	vis := ix.visitPool.Get(len(ix.data))
-	defer ix.visitPool.Put(vis)
-	out := make([]int32, 0, ix.candidateHint())
-	for _, rep := range ix.reps {
-		rep.ForEachCandidate(q, func(id int32) bool {
-			if vis.FirstVisit(id) {
-				out = append(out, id)
-			}
-			return true
-		})
-	}
-	ix.candHint.Store(int64(len(out)))
-	return out
-}
-
-// candidateHint estimates the distinct candidate count of the next
-// query: the last query's count once one has run, otherwise a build-time
-// estimate — average posting-list length (TotalFilters/Buckets) times
-// the average filter count per vector (TotalFilters/Vectors) per
-// repetition, which is the expected number of candidate occurrences for
-// a data-like query — clamped to [8, n].
-func (ix *Index) candidateHint() int {
-	if h := ix.candHint.Load(); h > 0 {
-		return int(h)
-	}
-	st := ix.BuildStats()
-	est := 8
-	if st.Buckets > 0 && st.Vectors > 0 {
-		avgPosting := float64(st.TotalFilters) / float64(st.Buckets)
-		avgFilters := float64(st.TotalFilters) / float64(st.Vectors) / float64(max(1, len(ix.reps)))
-		est = int(avgPosting * avgFilters)
-	}
-	return min(max(est, 8), len(ix.data))
-}
-
-// linearScanSerialCutoff is the dataset size below which the fallback
-// scan stays single-threaded: spawning workers costs more than scanning.
-const linearScanSerialCutoff = 4096
-
-// linearScan is the correctness fallback: an exact best-match scan over
-// the whole dataset, used when every repetition truncates. It reuses the
-// caller's packed verification session (length prune against the
-// running best, popcount intersections) and fans out over the
-// worker-clamp helper so a truncating query storm does not stall
-// serving on one core.
-func (ix *Index) linearScan(ses *verify.Session) (int, float64, bool) {
-	n := len(ix.data)
-	workers := runtime.GOMAXPROCS(0)
-	if n < linearScanSerialCutoff || workers <= 1 {
-		best, bestSim := ix.scanRange(ses, 0, n)
-		return ix.scanVerdict(best, bestSim)
-	}
-	if workers > n {
-		workers = n
-	}
-	bests := make([]int, workers)
-	sims := make([]float64, workers)
-	// One session for all workers — verification is read-only on it, so
-	// the query is packed once, not once per worker.
-	lsf.ForEachParallel(workers, workers, func(w int) {
-		bests[w], sims[w] = ix.scanRange(ses, w*n/workers, (w+1)*n/workers)
-	})
-	best, bestSim := -1, -1.0
-	for w := range bests {
-		// Strict > keeps the lowest-id maximum, matching the serial scan.
-		if bests[w] >= 0 && sims[w] > bestSim {
-			best, bestSim = bests[w], sims[w]
-		}
-	}
-	return ix.scanVerdict(best, bestSim)
-}
-
-// scanRange returns the first-encountered maximum over data[lo:hi).
-func (ix *Index) scanRange(ses *verify.Session, lo, hi int) (int, float64) {
-	best, bestSim := -1, -1.0
-	for id := lo; id < hi; id++ {
-		if sim, ok := ses.MoreThan(ix.packed, ix.data, int32(id), bestSim); ok {
-			best, bestSim = id, sim
-		}
-	}
-	return best, bestSim
-}
-
-func (ix *Index) scanVerdict(best int, bestSim float64) (int, float64, bool) {
-	if best >= 0 && bestSim >= ix.threshold {
-		return best, bestSim, true
-	}
-	return -1, 0, false
-}
+func (ix *Index) Candidates(q bitvec.Vector) []int32 { return ix.seg.Candidates(q) }
 
 // PredictedQueryRho returns the theory's exponent for this index and a
 // given query (adversarial mode: Theorem 2's ρ(q); correlated mode:

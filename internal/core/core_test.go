@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"skewsim/internal/bitvec"
+	"skewsim/internal/bruteforce"
 	"skewsim/internal/datagen"
 	"skewsim/internal/dist"
 )
@@ -70,10 +72,6 @@ func TestIndexAccessors(t *testing.T) {
 	}
 	if len(ix.Data()) != 100 {
 		t.Error("data accessor wrong")
-	}
-	bs := ix.BuildStats()
-	if bs.Vectors != 100 || bs.TotalFilters <= 0 {
-		t.Errorf("build stats %+v", bs)
 	}
 }
 
@@ -274,7 +272,7 @@ func TestFallbackOnTruncation(t *testing.T) {
 	sawFallback := false
 	for k, q := range w.Queries {
 		res := ix.Query(q)
-		if res.Stats.FellBack {
+		if res.Stats.FellBack > 0 {
 			sawFallback = true
 			if !res.Found || res.ID != w.Targets[k] {
 				t.Errorf("fallback failed to recover planted target")
@@ -283,25 +281,6 @@ func TestFallbackOnTruncation(t *testing.T) {
 	}
 	if !sawFallback {
 		t.Skip("budget did not truncate; configuration too generous")
-	}
-}
-
-func TestFallbackDisabled(t *testing.T) {
-	d := dist.MustProduct(dist.Uniform(800, 0.12))
-	w, _ := NewTestCorrelatedWorkload(d, 150, 5, 0.9, 12)
-	ix, err := BuildCorrelated(d, w.Data, 0.9, Options{
-		Seed:                3,
-		Repetitions:         2,
-		MaxFiltersPerVector: 1,
-		DisableFallback:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range w.Queries {
-		if res := ix.Query(q); res.Stats.FellBack {
-			t.Error("fallback ran despite being disabled")
-		}
 	}
 }
 
@@ -365,11 +344,69 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	for _, q := range w.Queries {
 		res := ix.QueryBest(q)
-		if res.Stats.Repetitions != 5 {
-			t.Errorf("QueryBest must touch all repetitions, got %d", res.Stats.Repetitions)
+		if res.Stats.Reps != 5 {
+			t.Errorf("QueryBest must touch all repetitions, got %d", res.Stats.Reps)
 		}
 		if res.Stats.Distinct > res.Stats.Candidates {
 			t.Error("distinct exceeds candidates")
+		}
+	}
+}
+
+func TestBruteForceTopKExactness(t *testing.T) {
+	d := dist.MustProduct(dist.Uniform(900, 0.1))
+	w, err := NewTestCorrelatedWorkload(d, 300, 1, 0.8, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bf, err := bruteforce.Build(w.Data, bruteforce.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := w.Queries[0]
+	m := bf.QueryTopK(q, 10)
+	for i := 1; i < len(m); i++ {
+		if m[i-1].Similarity < m[i].Similarity {
+			t.Fatal("ground truth not sorted")
+		}
+	}
+	if bf.QueryTopK(q, 0) != nil {
+		t.Error("k=0 should return nil")
+	}
+}
+
+// TestConcurrentQueriesAreSafe exercises read-only query concurrency on a
+// shared index (run with -race to catch violations).
+func TestConcurrentQueriesAreSafe(t *testing.T) {
+	d := dist.MustProduct(dist.Uniform(900, 0.1))
+	w, err := NewTestCorrelatedWorkload(d, 300, 25, 0.8, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildCorrelated(d, w.Data, 0.8, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	results := make([][]int, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, q := range w.Queries {
+				res := ix.Query(q)
+				results[g] = append(results[g], res.ID)
+				ix.QueryBest(q)
+				ix.Candidates(q)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < 8; g++ {
+		for i := range results[0] {
+			if results[g][i] != results[0][i] {
+				t.Fatal("concurrent queries returned inconsistent results")
+			}
 		}
 	}
 }

@@ -37,7 +37,7 @@ func (ix *Index) queryOne(q bitvec.Vector, threshold float64, m bitvec.Measure) 
 }
 
 // QueryParallel is BatchQuery fanned out over `workers` goroutines
-// (workers <= 0 selects GOMAXPROCS), mirroring BuildIndexParallel. The
+// (workers <= 0 selects GOMAXPROCS). The
 // index is read-only during queries and every worker draws its own
 // visited set from the pool, so results are identical to BatchQuery —
 // same ids, similarities, and per-query stats, in input order.
@@ -52,9 +52,8 @@ func (ix *Index) QueryParallel(qs []bitvec.Vector, threshold float64, m bitvec.M
 // ForEachParallel runs fn(k) for every k in [0, n) over a worker pool:
 // workers <= 0 selects GOMAXPROCS, the worker count is clamped to n, and
 // one (or zero) workers degrade to a plain sequential loop. It is the
-// single fan-out implementation behind parallel preprocessing
-// (BuildIndexParallel) and parallel queries at every layer; fn must be
-// safe to call concurrently for distinct k.
+// single fan-out implementation behind parallel queries at every layer;
+// fn must be safe to call concurrently for distinct k.
 func ForEachParallel(n, workers int, fn func(k int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

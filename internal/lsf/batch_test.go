@@ -144,7 +144,7 @@ func TestVisitedEpochWraparound(t *testing.T) {
 // index's (the same table, handed over) must keep their posting lists
 // separate, for both incremental inserts and post-freeze lookups.
 func TestBucketCollisionChaining(t *testing.T) {
-	e, data := parallelTestEngine(t, 10)
+	e, data := fig1TestEngine(t, 10)
 	pathA := []uint32{1, 2, 3}
 	pathB := []uint32{7, 8} // any other path; we force the collision below
 	hA := HashPath(pathA)
@@ -215,7 +215,7 @@ func TestBatchQueryAgainstSelfRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := BuildIndexParallel(e, data, 4)
+	ix, err := BuildIndex(e, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func liveIDs(bl *Builder, h uint64, path []uint32) []int32 {
 // doublings), after Freeze (the builder must stay readable), and in the
 // frozen index it produced.
 func TestLiveBuilderCollisions(t *testing.T) {
-	e, data := parallelTestEngine(t, 1000)
+	e, data := fig1TestEngine(t, 1000)
 	key := func(path []uint32) uint64 { return HashPath(path) & 63 }
 	bl := NewLiveBuilder(e)
 	want := map[string][]int32{}
@@ -76,7 +76,7 @@ func TestLiveBuilderCollisions(t *testing.T) {
 // — bucket order is first sight and the table is the smallest one at
 // load ≤ 1/2, whichever builder grew it.
 func TestBuildersFreezeIdentically(t *testing.T) {
-	e, data := parallelTestEngine(t, 80)
+	e, data := fig1TestEngine(t, 80)
 	ref, err := BuildIndex(e, data)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package lsf
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -86,68 +87,14 @@ func TestStopCheck(t *testing.T) {
 	}
 }
 
-// TestForEachCandidateCancel: a pre-canceled context aborts the
-// traversal with the context error, while an un-canceled checkpoint
-// leaves results identical to the plain path.
-func TestForEachCandidateCancel(t *testing.T) {
-	d := mustDist(t)
+// TestFiltersIntoCancel: an un-canceled checkpoint generates exactly
+// the plain filter set, while a canceled one abandons generation with
+// the context error and never marks the set Truncated (truncation sends
+// a query to the exact scan; cancellation must not).
+func TestFiltersIntoCancel(t *testing.T) {
+	d := dist.MustProduct(dist.Fig1Profile(200, 0.2))
 	data := d.SampleN(hashing.NewSplitMix64(11), 512)
-	eng, err := NewEngine(len(data), testParamsFor(d, len(data)))
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	ix, err := BuildIndex(eng, data)
-	if err != nil {
-		t.Fatalf("BuildIndex: %v", err)
-	}
-	q := data[3]
-
-	var want []int32
-	wantStats := ix.ForEachCandidate(q, func(id int32) bool {
-		want = append(want, id)
-		return true
-	})
-	if len(want) == 0 {
-		t.Fatal("query produced no candidates; test is vacuous")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var got []int32
-	gotStats, err := ix.ForEachCandidateCancel(q, NewCancelCheck(ctx), func(id int32) bool {
-		got = append(got, id)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("un-canceled traversal errored: %v", err)
-	}
-	if gotStats != wantStats {
-		t.Fatalf("stats differ: %+v vs %+v", gotStats, wantStats)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("candidate counts differ: %d vs %d", len(got), len(want))
-	}
-
-	cancel()
-	n := 0
-	_, err = ix.ForEachCandidateCancel(q, NewCancelCheck(ctx), func(id int32) bool {
-		n++
-		return true
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled traversal: err = %v, want context.Canceled", err)
-	}
-	if n >= len(want) && wantStats.Filters > refBlock {
-		t.Fatalf("canceled traversal streamed all %d candidates", n)
-	}
-}
-
-func mustDist(t *testing.T) *dist.Product {
-	t.Helper()
-	return dist.MustProduct(dist.Fig1Profile(200, 0.2))
-}
-
-func testParamsFor(d *dist.Product, n int) Params {
-	return Params{
+	eng, err := NewEngine(len(data), Params{
 		Seed:  7,
 		Probs: d.Probs(),
 		Threshold: func(x bitvec.Vector, j int, i uint32) float64 {
@@ -157,6 +104,38 @@ func testParamsFor(d *dist.Product, n int) Params {
 			}
 			return 1 / denom
 		},
-		Stop: ProductStopRule(n),
+		Stop: ProductStopRule(len(data)),
+	})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	q := data[3]
+	var want, got FilterSet
+	eng.FiltersInto(q, &want)
+	if want.Len() == 0 {
+		t.Fatal("query generated no filters; test is vacuous")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cc := NewCancelCheck(ctx)
+	eng.FiltersIntoCancel(q, &got, cc)
+	if cc.Err() != nil || got.Len() != want.Len() || got.Truncated != want.Truncated {
+		t.Fatalf("un-canceled generation: %d filters (truncated %v, err %v), want %d (truncated %v)",
+			got.Len(), got.Truncated, cc.Err(), want.Len(), want.Truncated)
+	}
+	for i := 0; i < want.Len(); i++ {
+		if !slices.Equal(got.Path(i), want.Path(i)) {
+			t.Fatalf("filter %d: path %v, want %v", i, got.Path(i), want.Path(i))
+		}
+	}
+
+	cancel()
+	cc = NewCancelCheck(ctx)
+	got.Reset()
+	eng.FiltersIntoCancel(q, &got, cc)
+	if !errors.Is(cc.Err(), context.Canceled) {
+		t.Fatalf("canceled generation: Err() = %v, want context.Canceled", cc.Err())
+	}
+	if got.Truncated {
+		t.Fatal("canceled generation marked the filter set Truncated")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestForEachParallelClampsWorkers pins the worker clamp every batch
-// entry point (core.QueryParallel, core.BatchCandidates,
-// BuildIndexParallel, the shard router) relies on: a bound far above n
+// entry point (core.QueryParallel, lsf.QueryParallel, the shard router)
+// relies on: a bound far above n
 // must not spawn idle goroutines. The observable is the process
 // goroutine count sampled while all n tasks are parked inside fn. The
 // check is one-sided: a correct clamp always passes, while a lost

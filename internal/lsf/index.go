@@ -294,7 +294,7 @@ func (v *Visited) FirstVisit(id int32) bool {
 // VisitedPool recycles Visited sets so concurrent queries each get their
 // own and steady-state queries allocate nothing for dedup. The zero
 // value is ready to use; every consumer of Visited in this codebase
-// (lsf, core, the baselines, splitsearch) shares this one implementation.
+// (lsf, segment, the baselines, splitsearch) shares this one implementation.
 type VisitedPool struct {
 	pool sync.Pool
 }
@@ -346,25 +346,17 @@ const refBlock = 64
 // fused probe-then-walk-per-bucket loop visited them. The sink returns
 // false to stop early (the threshold query's early exit); stats always
 // reflect exactly the work performed up to the stop.
-//
-// cc, when non-nil, is a cooperative cancellation checkpoint polled
-// during filter generation and once per block of resolved posting
-// spans — coarse enough that the nil (no-deadline) path pays one
-// pointer compare per block, fine enough that a canceled query stops
-// within one block's span walk. A canceled traversal leaves stats
-// reflecting the work actually performed; callers distinguish it from
-// a sink-initiated early stop through cc.Err().
-func (ix *Index) traverse(q bitvec.Vector, stats *QueryStats, cc *CancelCheck, sink func(id int32) bool) {
+func (ix *Index) traverse(q bitvec.Vector, stats *QueryStats, sink func(id int32) bool) {
 	fs, _ := ix.fsPool.Get().(*FilterSet)
 	if fs == nil {
 		fs = new(FilterSet)
 	}
 	defer ix.fsPool.Put(fs)
 	fs.Reset()
-	ix.engine.FiltersIntoCancel(q, fs, cc)
+	ix.engine.FiltersInto(q, fs)
 	stats.Filters = fs.Len()
 	stats.Truncated = fs.Truncated
-	if fs.Len() == 0 || cc.Err() != nil {
+	if fs.Len() == 0 {
 		return
 	}
 	rs, _ := ix.refPool.Get().(*[refBlock]PostingRef)
@@ -383,9 +375,6 @@ func (ix *Index) traverse(q bitvec.Vector, stats *QueryStats, cc *CancelCheck, s
 		defer ix.coldPool.Put(coldBuf)
 	}
 	for base := 0; base < fs.Len(); base += refBlock {
-		if cc != nil && cc.Check() {
-			return
-		}
 		end := base + refBlock
 		if end > fs.Len() {
 			end = fs.Len()
@@ -430,31 +419,19 @@ func (ix *Index) AppendFilterRefs(q bitvec.Vector, fs *FilterSet, refs []Posting
 // ForEachCandidate streams the distinct data ids sharing at least one
 // filter with q into sink, in first-encounter order, until sink returns
 // false. It is the exported form of the traversal core, letting the
-// layers above (cross-repetition dedup in core, the baselines) consume
-// candidates without materializing per-repetition slices.
+// layers above (the baselines, splitsearch) consume candidates without
+// materializing per-repetition slices.
 func (ix *Index) ForEachCandidate(q bitvec.Vector, sink func(id int32) bool) QueryStats {
 	var stats QueryStats
-	ix.traverse(q, &stats, nil, sink)
+	ix.traverse(q, &stats, sink)
 	return stats
-}
-
-// ForEachCandidateCancel is ForEachCandidate with a cooperative
-// cancellation checkpoint threaded into the traversal loops (polled
-// during filter generation and once per posting block). The returned
-// error is non-nil exactly when the traversal was cut short by cc; the
-// stats then reflect the work actually performed. A nil cc never
-// cancels.
-func (ix *Index) ForEachCandidateCancel(q bitvec.Vector, cc *CancelCheck, sink func(id int32) bool) (QueryStats, error) {
-	var stats QueryStats
-	ix.traverse(q, &stats, cc, sink)
-	return stats, cc.Err()
 }
 
 // UsePacked attaches a word-packed form of the index's data, aligned
 // with it by id, switching candidate verification in Query/QueryBest to
-// popcount intersection. The packing is built once per dataset and
-// shared across all repetitions of a SkewSearch index (core attaches the
-// same set to every repetition), instead of once per repetition.
+// popcount intersection. The packing is built once per dataset, so
+// several repetitions over one dataset can share one set instead of
+// packing it once each.
 // Results are bit-identical with or without it.
 func (ix *Index) UsePacked(ps *bitvec.PackedSet) { ix.packed = ps }
 
@@ -472,7 +449,7 @@ func (ix *Index) Query(q bitvec.Vector, threshold float64, m bitvec.Measure) (be
 	if ix.packed == nil {
 		// No packed data (baseline instantiations like chosenpath):
 		// verify straight off the sorted slices, paying no session.
-		ix.traverse(q, &stats, nil, func(id int32) bool {
+		ix.traverse(q, &stats, func(id int32) bool {
 			if s := m.Similarity(q, ix.data[id]); s >= threshold {
 				best, sim, found = int(id), s, true
 				return false
@@ -483,7 +460,7 @@ func (ix *Index) Query(q bitvec.Vector, threshold float64, m bitvec.Measure) (be
 	}
 	ses := verify.Acquire(m, q)
 	defer verify.Release(ses)
-	ix.traverse(q, &stats, nil, func(id int32) bool {
+	ix.traverse(q, &stats, func(id int32) bool {
 		if s, ok := ses.AtLeast(ix.packed, ix.data, id, threshold); ok {
 			best, sim, found = int(id), s, true
 			return false
@@ -501,7 +478,7 @@ func (ix *Index) Query(q bitvec.Vector, threshold float64, m bitvec.Measure) (be
 func (ix *Index) QueryBest(q bitvec.Vector, m bitvec.Measure) (best int, sim float64, stats QueryStats, found bool) {
 	best, sim = -1, -1
 	if ix.packed == nil {
-		ix.traverse(q, &stats, nil, func(id int32) bool {
+		ix.traverse(q, &stats, func(id int32) bool {
 			if s := m.Similarity(q, ix.data[id]); s > sim {
 				best, sim = int(id), s
 			}
@@ -510,7 +487,7 @@ func (ix *Index) QueryBest(q bitvec.Vector, m bitvec.Measure) (best int, sim flo
 	} else {
 		ses := verify.Acquire(m, q)
 		defer verify.Release(ses)
-		ix.traverse(q, &stats, nil, func(id int32) bool {
+		ix.traverse(q, &stats, func(id int32) bool {
 			if s, ok := ses.MoreThan(ix.packed, ix.data, id, sim); ok {
 				best, sim = int(id), s
 			}
@@ -535,7 +512,7 @@ func (ix *Index) CandidateIDs(q bitvec.Vector) ([]int32, QueryStats) {
 // traversal allocation-free in steady state.
 func (ix *Index) AppendCandidateIDs(dst []int32, q bitvec.Vector) ([]int32, QueryStats) {
 	var stats QueryStats
-	ix.traverse(q, &stats, nil, func(id int32) bool {
+	ix.traverse(q, &stats, func(id int32) bool {
 		dst = append(dst, id)
 		return true
 	})

@@ -9,7 +9,7 @@ import (
 )
 
 func TestIndexWriteReadRoundTrip(t *testing.T) {
-	e, data := parallelTestEngine(t, 250)
+	e, data := fig1TestEngine(t, 250)
 	ix, err := BuildIndex(e, data)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestIndexWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestIndexWriteDeterministic(t *testing.T) {
-	e, data := parallelTestEngine(t, 100)
+	e, data := fig1TestEngine(t, 100)
 	ix, _ := BuildIndex(e, data)
 	var a, b bytes.Buffer
 	if _, err := ix.WriteTo(&a); err != nil {
@@ -55,14 +55,14 @@ func TestIndexWriteDeterministic(t *testing.T) {
 }
 
 func TestReadIndexFromRejectsBadMagic(t *testing.T) {
-	e, data := parallelTestEngine(t, 10)
+	e, data := fig1TestEngine(t, 10)
 	if _, err := ReadIndexFrom(strings.NewReader("NOTANINDEX"), e, data); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestReadIndexFromRejectsTruncated(t *testing.T) {
-	e, data := parallelTestEngine(t, 100)
+	e, data := fig1TestEngine(t, 100)
 	ix, _ := BuildIndex(e, data)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
@@ -77,7 +77,7 @@ func TestReadIndexFromRejectsTruncated(t *testing.T) {
 }
 
 func TestReadIndexFromRejectsOutOfRangeIDs(t *testing.T) {
-	e, data := parallelTestEngine(t, 100)
+	e, data := fig1TestEngine(t, 100)
 	ix, _ := BuildIndex(e, data)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {

@@ -14,7 +14,7 @@ func batchTestIndex(t *testing.T) (*SegmentedIndex, []bitvec.Vector) {
 	t.Helper()
 	const n = 500
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 7)
+	params := testParams(d, n, 3, 7)
 	s, err := New(Config{Params: params, N: n, MemtableSize: 96, MaxSegments: 100})
 	if err != nil {
 		t.Fatalf("New: %v", err)

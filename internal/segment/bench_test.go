@@ -1,15 +1,18 @@
 package segment
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
 
 	"skewsim/internal/bitvec"
-	"skewsim/internal/core"
+	"skewsim/internal/datagen"
 	"skewsim/internal/dist"
 	"skewsim/internal/hashing"
+	"skewsim/internal/lsf"
 	"skewsim/internal/obs"
+	"skewsim/internal/verify"
 )
 
 // benchIndex builds a segmented index over n Zipf vectors. layered=true
@@ -23,11 +26,7 @@ func benchIndex(b *testing.B, n int, layered bool, metrics *Metrics) (*Segmented
 	if err != nil {
 		b.Fatal(err)
 	}
-	params, err := core.EngineParams(core.Adversarial, d, n, 0.5, core.Options{Seed: 9, Repetitions: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{Params: params, N: n, MemtableSize: n / 8, MaxSegments: 100, Metrics: metrics}
+	cfg := Config{Params: testParams(d, n, 4, 9), N: n, MemtableSize: n / 8, MaxSegments: 100, Metrics: metrics}
 	if !layered {
 		cfg.MaxSegments = 1
 	}
@@ -52,7 +51,8 @@ func benchIndex(b *testing.B, n int, layered bool, metrics *Metrics) (*Segmented
 // BenchmarkSegmentedQuery compares query cost through the layered shape
 // (memtable + several frozen segments) against the fully compacted
 // single-segment form — the price of servability over the frozen-only
-// index, per query.
+// index, per query — and, on a bulk-loaded index, a mode-first batch
+// against the same queries one at a time.
 func BenchmarkSegmentedQuery(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -74,6 +74,43 @@ func BenchmarkSegmentedQuery(b *testing.B) {
 			}
 		})
 	}
+	// first-loop vs batch-first: 50 Figure 1 queries in mode first over
+	// one bulk-loaded segment, one Search per query against one Search
+	// for the batch. The batch costs about three times the loop.
+	const n, alpha = 2000, 2.0 / 3
+	d := dist.MustProduct(dist.Fig1Profile(600, 0.25))
+	w, err := datagen.NewCorrelatedWorkload(d, n, 50, alpha, 13)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := BulkLoad(Config{Params: correlatedParams(d, n, alpha, 4, 1), N: n}, w.Data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess := make([]*verify.Session, len(w.Queries))
+	ths := make([]float64, len(w.Queries))
+	for k, q := range w.Queries {
+		sess[k], ths[k] = verify.Acquire(bitvec.BraunBlanquetMeasure, q), alpha/1.3
+	}
+	p := NewPlan(s.eng)
+	p.Reset(w.Queries...)
+	s.Search(nil, p, Request{Sessions: sess, Thresholds: ths, Mode: ModeFirst}) // grows the plan's arenas to the batch
+	b.Run("first-loop", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k, q := range w.Queries {
+				p.Reset(q)
+				s.Search(nil, p, Request{Sessions: sess[k : k+1], Thresholds: ths[k : k+1], Mode: ModeFirst})
+			}
+		}
+	})
+	b.Run("batch-first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.Reset(w.Queries...)
+			s.Search(nil, p, Request{Sessions: sess, Thresholds: ths, Mode: ModeFirst})
+		}
+	})
 }
 
 // BenchmarkQueryPathInstrumented measures what the observability layer
@@ -148,11 +185,7 @@ func BenchmarkSegmentedInsert(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params, err := core.EngineParams(core.Adversarial, d, 4096, 0.5, core.Options{Seed: 9, Repetitions: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := New(Config{Params: params, N: 4096, MemtableSize: 1024, MaxSegments: 8})
+	s, err := New(Config{Params: testParams(d, 4096, 4, 9), N: 4096, MemtableSize: 1024, MaxSegments: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -180,11 +213,7 @@ func BenchmarkSegmentedFreeze(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params, err := core.EngineParams(core.Adversarial, d, 4096, 0.5, core.Options{Seed: 9, Repetitions: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := New(Config{Params: params, N: 4096, MemtableSize: 1 << 20})
+	s, err := New(Config{Params: testParams(d, 4096, 4, 9), N: 4096, MemtableSize: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,11 +249,7 @@ func checkpointSegment(tb testing.TB) (*SegmentedIndex, *frozenSeg, segDump) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	params, err := core.EngineParams(core.Correlated, d, 5000, 0.6667, core.Options{Seed: 1, Repetitions: 6})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s, err := New(Config{Params: params, N: 5000, MemtableSize: 1 << 20})
+	s, err := New(Config{Params: correlatedParams(d, 5000, 0.6667, 6, 1), N: 5000, MemtableSize: 1 << 20})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -269,4 +294,24 @@ func BenchmarkSegmentedCheckpoint(b *testing.B) {
 			b.ReportMetric(float64(size)/(1<<20), "fileMiB")
 		})
 	}
+}
+
+// correlatedParams are §6's correlated engine parameters at α: core's
+// correlated thresholds, restated like schemeParams.
+func correlatedParams(d *dist.Product, n int, alpha float64, reps int, seed uint64) []lsf.Params {
+	clogn, phat := d.ExpectedSize(), d.ConditionalProbs(alpha)
+	delta := 0.0
+	if c := d.C(n); c > 0 {
+		delta = 3 / math.Sqrt(alpha*c)
+	}
+	return schemeParams(d, n, reps, seed, func(_ bitvec.Vector, j int, i uint32) float64 {
+		ph := alpha
+		if int(i) < len(phat) {
+			ph = phat[i]
+		}
+		if denom := ph*clogn - float64(j); denom > 1+delta {
+			return (1 + delta) / denom
+		}
+		return 1
+	})
 }

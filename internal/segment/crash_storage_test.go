@@ -26,7 +26,7 @@ import (
 // persisted segment is demoted to its mmap form.
 func storageCrashConfig(t *testing.T) Config {
 	t.Helper()
-	params := testParams(t, testDist(t), crashWorkloadN, 3, 55)
+	params := testParams(testDist(t), crashWorkloadN, 3, 55)
 	return Config{
 		Params:           params,
 		N:                crashWorkloadN,

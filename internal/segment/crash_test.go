@@ -87,7 +87,7 @@ const crashWorkloadN = 120
 
 func crashConfig(t *testing.T, script string) Config {
 	t.Helper()
-	params := testParams(t, testDist(t), crashWorkloadN, 3, 55)
+	params := testParams(testDist(t), crashWorkloadN, 3, 55)
 	cfg := Config{Params: params, N: crashWorkloadN}
 	switch script {
 	case "stream":

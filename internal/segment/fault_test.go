@@ -29,7 +29,7 @@ var errInjected = errors.New("injected fault")
 // record recovers like any other.
 func TestFaultWALFsyncNotDurable(t *testing.T) {
 	d := testDist(t)
-	params := testParams(t, d, 64, 2, 91)
+	params := testParams(d, 64, 2, 91)
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
 	if err != nil {
@@ -114,7 +114,7 @@ func TestFaultWALFsyncNotDurable(t *testing.T) {
 func TestFaultCheckpointDiskFull(t *testing.T) {
 	const n = 120
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 92)
+	params := testParams(d, n, 3, 92)
 	cfg := Config{Params: params, N: n, MemtableSize: 24, MaxSegments: 3}
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, SegmentBytes: 1 << 12})
@@ -193,7 +193,7 @@ func TestFaultCheckpointDiskFull(t *testing.T) {
 func TestFaultCheckpointStreamError(t *testing.T) {
 	const n = 120
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 93)
+	params := testParams(d, n, 3, 93)
 	cfg := Config{Params: params, N: n, MemtableSize: 24, MaxSegments: 3, ResidentBytes: 1}
 	dir := t.TempDir()
 	log, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever, SegmentBytes: 1 << 12})
@@ -263,7 +263,7 @@ func TestFaultCheckpointStreamError(t *testing.T) {
 func TestFaultCancelSegmentQueries(t *testing.T) {
 	const n = 256
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 93)
+	params := testParams(d, n, 3, 93)
 	s, err := New(Config{Params: params, N: n, MemtableSize: 64, MaxSegments: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -1,0 +1,9 @@
+package segment
+
+import (
+	"testing"
+
+	"skewsim/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -24,7 +24,7 @@ func TestMemtableKeyCollisions(t *testing.T) {
 
 	const n = 300
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 61)
+	params := testParams(d, n, 3, 61)
 	s, err := New(Config{Params: params, N: n, MemtableSize: n, MaxSegments: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -130,7 +130,7 @@ func segmentBlobs(segs ...*frozenSeg) [][]byte {
 func TestFreezeDeterministic(t *testing.T) {
 	const n = 400
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 71)
+	params := testParams(d, n, 3, 71)
 	data := d.SampleN(hashing.NewSplitMix64(72), n)
 	build := func() (frozen, merged [][]byte) {
 		s, err := New(Config{Params: params, N: n, MemtableSize: 96, MaxSegments: 100})
@@ -177,7 +177,7 @@ func TestMemtableInsertAllocs(t *testing.T) {
 	}
 	const n = 1024
 	d := testDist(t)
-	params := testParams(t, d, n, 4, 81)
+	params := testParams(d, n, 4, 81)
 	s, err := New(Config{Params: params, N: n, MemtableSize: 1 << 20})
 	if err != nil {
 		t.Fatalf("New: %v", err)

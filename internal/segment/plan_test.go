@@ -16,7 +16,7 @@ import (
 func planIndex(t *testing.T, n, reps int) (*SegmentedIndex, []bitvec.Vector) {
 	t.Helper()
 	d := testDist(t)
-	s, err := New(Config{Params: testParams(t, d, n, reps, 7), N: n, MemtableSize: 128, MaxSegments: 4})
+	s, err := New(Config{Params: testParams(d, n, reps, 7), N: n, MemtableSize: 128, MaxSegments: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -89,8 +89,8 @@ type search struct {
 // mode's sink. A mode-first query stops at its match, and the search
 // once every query has one. A query that found nothing, every
 // repetition of which truncated, is answered by an exact scan of the
-// live slots (as core.Index.Query does). The search holds the read lock
-// throughout: the whole batch sees one snapshot.
+// live slots. The search holds the read lock throughout: the whole
+// batch sees one snapshot.
 //
 // p must plan the sessions' queries, in order, over this index's
 // engines; the results are owned by p and valid until its next Reset.
@@ -279,7 +279,7 @@ func (x *search) probe(cc *lsf.CancelCheck, r int, pr *planRep, k, from, to int)
 // fallBack answers, by an exact scan of the live slots the filters did
 // not reach, every query without an answer whose every repetition
 // truncated. Candidate sets never fall back: they are the filters'
-// answer, as in core.
+// answer.
 func (x *search) fallBack(cc *lsf.CancelCheck, p *Plan) error {
 	if x.req.Mode == modeCandidates {
 		return nil

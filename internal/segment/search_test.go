@@ -68,7 +68,7 @@ func sameAnswer(a, b Result) bool { return a.Match == b.Match && a.Found == b.Fo
 // first.
 func TestSearchTieBreakLowestID(t *testing.T) {
 	d := testDist(t)
-	s, err := New(Config{Params: testParams(t, d, 64, 2, 7), N: 64})
+	s, err := New(Config{Params: testParams(d, 64, 2, 7), N: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

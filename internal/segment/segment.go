@@ -32,8 +32,8 @@
 // see wal.go in this package and DESIGN.md "Durability".
 //
 // The repetition engines are fixed at construction (typically from
-// core.EngineParams, so the segmented index runs the same SkewSearch
-// scheme as the static core.Index); the stopping rule's n is the
+// core.EngineParams, the paper's SkewSearch scheme; core.Index is this
+// index bulk-loaded, see BulkLoad); the stopping rule's n is the
 // expected steady-state size. Re-estimating probabilities as the data
 // drifts is a planned follow-up, not handled here.
 package segment
@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -214,7 +215,8 @@ type SegmentedIndex struct {
 	eng *Engines
 
 	mu         sync.RWMutex
-	cond       *sync.Cond    // signalled on any state change the worker or waiters watch
+	cond       *sync.Cond    // signalled (wake) on any state change the worker or waiters watch
+	started    bool          // the background worker was started (by the first wake)
 	workerDone chan struct{} // closed when the background worker has exited
 
 	mem      *memtable
@@ -279,8 +281,10 @@ type SegmentedIndex struct {
 	fsPool    sync.Pool
 }
 
-// New builds an empty index and starts its background freeze/compaction
-// worker. Callers must Close it to stop the worker.
+// New builds an empty index. Its background freeze/compaction worker
+// starts on the first state change it has to act on (wake): an index
+// that is only searched owns no goroutine. Callers that write must
+// Close it to stop the worker.
 func New(cfg Config) (*SegmentedIndex, error) {
 	cfg = cfg.withDefaults()
 	eng, err := NewEngines(cfg)
@@ -297,24 +301,75 @@ func New(cfg Config) (*SegmentedIndex, error) {
 		workerDone: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	go s.worker()
 	return s, nil
 }
 
-// Close stops the background worker — waiting for the freeze or
-// compaction it is in the middle of, so nothing lands in the storage
-// directory after Close returns — and, when a WAL is attached, syncs
-// and closes it. The index stays queryable but no further freezes or
+// BulkLoad builds an index holding vecs under ids 0…n−1 in one frozen
+// segment, by the static build: lsf.BuildIndex per repetition and the
+// segment's bloom filter, as a freeze builds it. Nothing passes through
+// a memtable or the WAL, and the segment is not written to
+// Config.StorageDir. The index retains vecs (not copied) and accepts
+// writes like any other.
+func BulkLoad(cfg Config, vecs []bitvec.Vector) (*SegmentedIndex, error) {
+	if len(vecs) >= math.MaxInt32 {
+		return nil, errors.New("segment: slot space exhausted (2^31 inserts)")
+	}
+	s, err := New(cfg)
+	if err != nil || len(vecs) == 0 {
+		return s, err
+	}
+	n := len(vecs)
+	seg := &frozenSeg{slots: make([]int32, n), reps: make([]*lsf.Index, len(s.eng.reps))}
+	for r, eng := range s.eng.reps {
+		if seg.reps[r], err = lsf.BuildIndex(eng, vecs); err != nil {
+			return nil, err
+		}
+	}
+	seg.bloom = buildSegBloom(seg.reps)
+	seg.arenaBytes = segArenaBytes(seg.reps)
+	s.vecs = slices.Clip(vecs)
+	s.alive = make([]bool, n)
+	s.ext = make([]int64, n)
+	s.slotOf = make(map[int64]int32, n)
+	for slot, v := range vecs {
+		seg.slots[slot] = int32(slot)
+		s.packed.Append(v)
+		s.alive[slot] = true
+		s.ext[slot] = int64(slot)
+		s.slotOf[int64(slot)] = int32(slot)
+	}
+	s.nextAuto, s.live = int64(n), n
+	s.segs = []*frozenSeg{seg}
+	return s, nil
+}
+
+// wake signals a state change to the worker and to every waiter,
+// starting the worker on the first call before Close. Caller holds the
+// write lock.
+func (s *SegmentedIndex) wake() {
+	if !s.started && !s.closed {
+		s.started = true
+		go s.worker()
+	}
+	s.cond.Broadcast()
+}
+
+// Close stops the background worker, if it started — waiting for the
+// freeze or compaction it is in the middle of, so nothing lands in the
+// storage directory after Close returns — and, when a WAL is attached,
+// syncs and closes it. The index stays queryable but no further freezes or
 // compactions run, and — with a WAL — further Insert/Delete calls fail
 // rather than accept writes that can no longer be logged. Safe to call
 // twice.
 func (s *SegmentedIndex) Close() {
 	s.mu.Lock()
 	s.closed = true
-	w := s.wal
-	s.cond.Broadcast()
+	w, started := s.wal, s.started
+	s.wake()
 	s.mu.Unlock()
-	<-s.workerDone
+	if started {
+		<-s.workerDone
+	}
 	if w != nil {
 		w.Close()
 	}
@@ -479,7 +534,7 @@ func (s *SegmentedIndex) rotateLocked() {
 	s.mem.rotLSN = s.memMaxLSN
 	s.flushing = append(s.flushing, s.mem)
 	s.mem = newMemtable(s.eng, s.mem)
-	s.cond.Broadcast()
+	s.wake()
 }
 
 // Delete tombstones the vector inserted under id, reporting whether it
@@ -608,16 +663,16 @@ func (s *SegmentedIndex) getFilterSet() *lsf.FilterSet {
 
 // QueryWithContext answers one query in mode first: some live vector
 // with similarity at least threshold among the candidates sharing a
-// filter with ses's query. It is Search over a pooled plan, kept because
-// the end-to-end benchmark's layer ledger compiles against it; the
-// error is Search's.
+// filter with ses's query. It is Search over a pooled plan, the entry
+// point of core.Index.Query and of the end-to-end benchmark's layer
+// ledger; the error is Search's.
 func (s *SegmentedIndex) QueryWithContext(ctx context.Context, ses *verify.Session, threshold float64) (Match, QueryStats, bool, error) {
 	return s.searchOne(ctx, Request{Sessions: []*verify.Session{ses}, Thresholds: []float64{threshold}, Mode: ModeFirst})
 }
 
 // QueryBestWithContext answers one query in mode best: its most similar
-// candidate, ties to the lowest id. Kept, like QueryWithContext, for the
-// layer ledger.
+// candidate, ties to the lowest id: core.Index.QueryBest, and the
+// layer ledger's mode best.
 func (s *SegmentedIndex) QueryBestWithContext(ctx context.Context, ses *verify.Session) (Match, QueryStats, bool, error) {
 	return s.searchOne(ctx, Request{Sessions: []*verify.Session{ses}, Mode: ModeBest})
 }
@@ -642,7 +697,7 @@ func (s *SegmentedIndex) Data() []bitvec.Vector {
 }
 
 // worker is the background freeze/compaction loop: one goroutine per
-// index, woken by rotations and Close. Heavy work (building CSR arenas,
+// index, started by its first wake. Heavy work (building CSR arenas,
 // merging segments) runs outside the lock; installs are brief writes.
 func (s *SegmentedIndex) worker() {
 	defer close(s.workerDone)
@@ -675,7 +730,7 @@ func (s *SegmentedIndex) worker() {
 				s.segs = append(s.segs, seg)
 			}
 			s.freezes++
-			s.cond.Broadcast()
+			s.wake()
 			if seg != nil && s.storageDirLocked() != "" {
 				// Persist the frozen segment and, with a WAL attached,
 				// fence the insert prefix it covers (drops the lock for
@@ -701,7 +756,7 @@ func (s *SegmentedIndex) worker() {
 			}
 			s.compacting = false
 			s.compactions++
-			s.cond.Broadcast()
+			s.wake()
 			if s.storageDirLocked() != "" {
 				s.persistCompactionLocked(merged, a, b)
 			}
@@ -722,7 +777,7 @@ func (s *SegmentedIndex) worker() {
 		}
 		s.mu.Lock()
 		s.tiering = false
-		s.cond.Broadcast()
+		s.wake()
 	}
 }
 

@@ -2,31 +2,38 @@ package segment
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"testing"
 
 	"skewsim/internal/bitvec"
-	"skewsim/internal/core"
 	"skewsim/internal/dist"
 	"skewsim/internal/hashing"
 	"skewsim/internal/join"
 	"skewsim/internal/lsf"
-	"skewsim/internal/verify"
 )
 
-// testParams builds the paper's adversarial engine parameters the way a
-// serving deployment would: core.EngineParams with a fixed expected
+// testParams builds the paper's adversarial engine parameters at
+// b1 = 0.5 the way a serving deployment would, with a fixed expected
 // size, so the segmented index and the static comparator run identical
 // filter mappings.
-func testParams(t *testing.T, d *dist.Product, n, reps int, seed uint64) []lsf.Params {
-	t.Helper()
-	params, err := core.EngineParams(core.Adversarial, d, n, 0.5, core.Options{
-		Seed:        seed,
-		Repetitions: reps,
+func testParams(d *dist.Product, n, reps int, seed uint64) []lsf.Params {
+	return schemeParams(d, n, reps, seed, func(x bitvec.Vector, j int, _ uint32) float64 {
+		if denom := 0.5*float64(x.Len()) - float64(j); denom > 1 {
+			return 1 / denom
+		}
+		return 1
 	})
-	if err != nil {
-		t.Fatalf("EngineParams: %v", err)
+}
+
+// schemeParams is core.EngineParams restated for this package's tests,
+// which cannot import core (core is built over segment): reps
+// repetitions of threshold under the product stopping rule for n, each
+// with its own seed drawn from seed.
+func schemeParams(d *dist.Product, n, reps int, seed uint64, threshold lsf.ThresholdFunc) []lsf.Params {
+	seeds := hashing.NewSplitMix64(seed)
+	params := make([]lsf.Params, reps)
+	for r := range params {
+		params[r] = lsf.Params{Seed: seeds.Next(), Probs: d.Probs(), Threshold: threshold, Stop: lsf.ProductStopRule(n)}
 	}
 	return params
 }
@@ -93,7 +100,7 @@ func TestDifferentialStatic(t *testing.T) {
 		queries = 80
 	)
 	d := testDist(t)
-	params := testParams(t, d, n, reps, 42)
+	params := testParams(d, n, reps, 42)
 	rng := hashing.NewSplitMix64(99)
 
 	s, err := New(Config{Params: params, N: n, MemtableSize: 128, MaxSegments: 100})
@@ -220,7 +227,7 @@ func topKStatic(q bitvec.Vector, st *staticIndex, liveIDs []int64, m bitvec.Meas
 func TestCompaction(t *testing.T) {
 	const n = 512
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 7)
+	params := testParams(d, n, 3, 7)
 	rng := hashing.NewSplitMix64(3)
 
 	s, err := New(Config{Params: params, N: n, MemtableSize: 32, MaxSegments: 2})
@@ -290,7 +297,7 @@ func TestCompaction(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	const n = 300
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 11)
+	params := testParams(d, n, 3, 11)
 	cfg := Config{Params: params, N: n, MemtableSize: 64, MaxSegments: 100}
 	rng := hashing.NewSplitMix64(8)
 
@@ -364,7 +371,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // cycle — same never-reuse contract as the live index.
 func TestSnapshotBurnsDeletedMemtableIDs(t *testing.T) {
 	d := testDist(t)
-	params := testParams(t, d, 64, 2, 1)
+	params := testParams(d, 64, 2, 1)
 	cfg := Config{Params: params, N: 64, MemtableSize: 1024}
 	s, err := New(cfg)
 	if err != nil {
@@ -397,7 +404,7 @@ func TestSnapshotBurnsDeletedMemtableIDs(t *testing.T) {
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
 	d := testDist(t)
-	params := testParams(t, d, 64, 2, 1)
+	params := testParams(d, 64, 2, 1)
 	cfg := Config{Params: params, N: 64}
 	for _, tc := range [][]byte{
 		nil,
@@ -417,7 +424,7 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 func TestJoinSeam(t *testing.T) {
 	const n = 200
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 5)
+	params := testParams(d, n, 3, 5)
 	rng := hashing.NewSplitMix64(21)
 	s, err := New(Config{Params: params, N: n, MemtableSize: 64, MaxSegments: 100})
 	if err != nil {
@@ -458,7 +465,7 @@ func (c candSource) Data() []bitvec.Vector              { return c.st.data }
 // made needsCompact true with zero segments — an instant worker panic).
 func TestConfigNegativeValues(t *testing.T) {
 	d := testDist(t)
-	params := testParams(t, d, 64, 2, 1)
+	params := testParams(d, 64, 2, 1)
 	s, err := New(Config{Params: params, N: -5, MemtableSize: -1, MaxSegments: -3})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -478,7 +485,7 @@ func TestConfigNegativeValues(t *testing.T) {
 
 func TestInsertWithIDRejectsReuse(t *testing.T) {
 	d := testDist(t)
-	params := testParams(t, d, 64, 2, 1)
+	params := testParams(d, 64, 2, 1)
 	s, err := New(Config{Params: params, N: 64})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -513,7 +520,7 @@ func TestInsertWithIDRejectsReuse(t *testing.T) {
 func TestQueryStatsAccounting(t *testing.T) {
 	const n = 256
 	d := testDist(t)
-	params := testParams(t, d, n, 3, 13)
+	params := testParams(d, n, 3, 13)
 	rng := hashing.NewSplitMix64(4)
 	s, err := New(Config{Params: params, N: n, MemtableSize: 64, MaxSegments: 100})
 	if err != nil {
@@ -542,21 +549,78 @@ func TestQueryStatsAccounting(t *testing.T) {
 	}
 }
 
-func Example() {
-	d := dist.MustProduct(dist.Zipf(32, 0.5, 1.0))
-	params, _ := core.EngineParams(core.Adversarial, d, 1024, 0.5, core.Options{Seed: 1, Repetitions: 3})
-	cfg := Config{Params: params, N: 1024}
-	cfg.Engines, _ = NewEngines(cfg) // shared by every index and query plan over them
-	s, _ := New(cfg)
-	defer s.Close()
-	id, _ := s.Insert(bitvec.New(1, 2, 3, 4))
+// TestBulkLoadMatchesInsert: a bulk-loaded index answers every mode,
+// with the same work, exactly like one holding the same vectors through
+// Insert and a freeze into one segment; it survives a snapshot round
+// trip, and accepts writes after the load under the next id.
+func TestBulkLoadMatchesInsert(t *testing.T) {
+	const n = 400
+	d := testDist(t)
+	cfg := Config{Params: testParams(d, n, 3, 21), N: n, MemtableSize: 2 * n}
+	rng := hashing.NewSplitMix64(21)
+	data := d.SampleN(rng, n)
+	bulk, err := BulkLoad(cfg, data)
+	if err != nil {
+		t.Fatalf("BulkLoad: %v", err)
+	}
+	defer bulk.Close()
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer ref.Close()
+	for _, v := range data {
+		if _, err := ref.Insert(v); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	ref.Flush()
+	var buf bytes.Buffer
+	if _, err := bulk.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	restored, err := ReadSnapshot(&buf, cfg)
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	defer restored.Close()
 
-	q := bitvec.New(1, 2, 3, 4)
-	ses := verify.Acquire(bitvec.BraunBlanquetMeasure, q)
-	defer verify.Release(ses)
-	p := NewPlan(cfg.Engines)
-	p.Reset(q)
-	res, _, _ := s.Search(nil, p, Request{Sessions: []*verify.Session{ses}, Mode: ModeBest})
-	fmt.Println(id, res[0].Found, res[0].Match.ID)
-	// Output: 0 true 0
+	m := bitvec.BraunBlanquetMeasure
+	queries := append(d.SampleN(rng, 40), data[:20]...)
+	for _, s := range []*SegmentedIndex{bulk, restored} {
+		if st := s.Stats(); st.Live != n || st.Segments != 1 || st.Memtable != 0 {
+			t.Fatalf("stats %+v, want %d live vectors in one segment", st, n)
+		}
+		for k, q := range queries {
+			for _, req := range []Request{{Mode: ModeBest}, {Mode: ModeFirst, Thresholds: []float64{0.5}}, {Mode: ModeTopK, K: 5}} {
+				got, gst := searchQuery(s, q, m, req)
+				want, wst := searchQuery(ref, q, m, req)
+				if got.Found != want.Found || got.Match != want.Match || !slices.Equal(got.Matches, want.Matches) {
+					t.Fatalf("query %d mode %d: %+v, want %+v", k, req.Mode, got, want)
+				}
+				// A snapshot restore carries no bloom filter, so it alone
+				// probes every path.
+				if s == bulk && gst != wst {
+					t.Fatalf("query %d mode %d: stats %+v, want %+v", k, req.Mode, gst, wst)
+				}
+			}
+			if got, want := s.Candidates(q), ref.Candidates(q); !slices.Equal(got, want) {
+				t.Fatalf("query %d: candidates %v, want %v", k, got, want)
+			}
+		}
+	}
+	k := slices.IndexFunc(data, func(v bitvec.Vector) bool {
+		_, st, _ := queryBest(ref, v, m)
+		return st.Candidates > 0
+	})
+	if id, err := bulk.Insert(data[k]); err != nil || id != n {
+		t.Fatalf("Insert after BulkLoad = %d, %v; want id %d", id, err, n)
+	}
+	bulk.Flush()
+	if got, _, _ := queryBest(bulk, data[k], m); got.ID != int64(k) || got.Similarity != 1 {
+		t.Fatalf("best match after the insert: %+v, want id %d (the lower of two equal vectors)", got, k)
+	}
+	if got, _ := searchQuery(bulk, data[k], m, Request{Mode: ModeTopK, K: 2}); len(got.Matches) != 2 || got.Matches[1].ID != n {
+		t.Fatalf("top 2 after the insert: %+v, want ids %d and %d", got.Matches, k, n)
+	}
 }

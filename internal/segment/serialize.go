@@ -12,7 +12,7 @@ import (
 
 // Snapshot format. The engines are NOT serialized (they are
 // deterministic given Config.Params, which the caller owns — the same
-// contract as lsf/core serialization); each frozen segment's buckets
+// contract as lsf serialization); each frozen segment's buckets
 // reuse the lsf bucket dump (lsf.Index.WriteTo / ReadIndexFrom), and
 // memtable vectors are stored raw and re-inserted on restore, which
 // recomputes their filters deterministically. All little-endian:
@@ -224,7 +224,7 @@ func ReadSnapshot(r io.Reader, cfg Config) (*SegmentedIndex, error) {
 		}
 		s.mu.Lock()
 		s.segs = append(s.segs, seg)
-		s.cond.Broadcast() // the worker compacts if the snapshot overflows MaxSegments
+		s.wake() // the worker compacts if the snapshot overflows MaxSegments
 		s.mu.Unlock()
 	}
 	var memCount uint32

@@ -565,7 +565,7 @@ func (s *SegmentedIndex) loadSegFile(path string, seq uint64, dead map[int64]boo
 	}
 	s.mu.Lock()
 	s.segs = append(s.segs, seg)
-	s.cond.Broadcast() // compaction or retier may be due after the load
+	s.wake() // compaction or retier may be due after the load
 	s.mu.Unlock()
 	return nil
 }
@@ -609,7 +609,7 @@ func (s *SegmentedIndex) storageDirLocked() string {
 func (s *SegmentedIndex) SetResidentBudget(bytes int64) {
 	s.mu.Lock()
 	s.cfg.ResidentBytes = bytes
-	s.cond.Broadcast()
+	s.wake()
 	s.mu.Unlock()
 }
 
@@ -664,7 +664,7 @@ func (s *SegmentedIndex) demoteSeg(g *frozenSeg) {
 		// retrying — the next compaction rewrites the file.
 		s.mu.Lock()
 		g.tierFailed = true
-		s.cond.Broadcast()
+		s.wake()
 		s.mu.Unlock()
 		return
 	}
@@ -672,7 +672,7 @@ func (s *SegmentedIndex) demoteSeg(g *frozenSeg) {
 	s.mu.Lock()
 	g.reps = reps
 	g.mapping = m
-	s.cond.Broadcast()
+	s.wake()
 	s.mu.Unlock()
 	if mt := s.cfg.Metrics; mt != nil {
 		mt.Demotions.Inc()
@@ -698,7 +698,7 @@ func (s *SegmentedIndex) promoteSeg(g *frozenSeg) {
 	if err != nil {
 		s.mu.Lock()
 		g.tierFailed = true // serve on cold, stop flapping
-		s.cond.Broadcast()
+		s.wake()
 		s.mu.Unlock()
 		return
 	}
@@ -707,7 +707,7 @@ func (s *SegmentedIndex) promoteSeg(g *frozenSeg) {
 	old := g.mapping
 	g.reps = reps
 	g.mapping = nil
-	s.cond.Broadcast()
+	s.wake()
 	s.mu.Unlock()
 	old.Close()
 	if mt := s.cfg.Metrics; mt != nil {
@@ -754,7 +754,7 @@ func Open(cfg Config) (*SegmentedIndex, error) {
 	if maxSeq >= s.segSeq {
 		s.segSeq = maxSeq + 1
 	}
-	s.cond.Broadcast()
+	s.wake()
 	s.mu.Unlock()
 	if err != nil {
 		s.Close()

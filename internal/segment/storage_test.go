@@ -108,7 +108,7 @@ const (
 func storageConfig(t *testing.T, dir string, compress bool) Config {
 	t.Helper()
 	return Config{
-		Params:           testParams(t, testDist(t), storageN, storageReps, 77),
+		Params:           testParams(testDist(t), storageN, storageReps, 77),
 		N:                storageN,
 		MemtableSize:     48,
 		MaxSegments:      3, // compaction interleaves with the workload
@@ -454,7 +454,7 @@ func FuzzSegmentHeader(f *testing.F) {
 		d := testDist(&testing.T{})
 		return d.SampleN(hashing.NewSplitMix64(501), 64), nil
 	}()
-	params := testParams(&testing.T{}, testDist(&testing.T{}), 64, 2, 77)
+	params := testParams(testDist(&testing.T{}), 64, 2, 77)
 	s, err := Open(Config{Params: params, N: 64, MemtableSize: 1 << 20, MaxSegments: 100, StorageDir: dir})
 	if err != nil {
 		f.Fatal(err)
@@ -574,7 +574,7 @@ func TestBloomFilterUnit(t *testing.T) {
 func BenchmarkSegfileOpen(b *testing.B) {
 	d := testDist(&testing.T{})
 	const n = 4096
-	params := testParams(&testing.T{}, d, n, 3, 77)
+	params := testParams(d, n, 3, 77)
 	data := d.SampleN(hashing.NewSplitMix64(3), n)
 	for _, compress := range []bool{false, true} {
 		dir := b.TempDir()

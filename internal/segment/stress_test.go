@@ -27,7 +27,7 @@ func TestConcurrentMutation(t *testing.T) {
 		perInserter = 400
 	)
 	d := testDist(t)
-	params := testParams(t, d, 1024, 3, 77)
+	params := testParams(d, 1024, 3, 77)
 	s, err := New(Config{Params: params, N: 1024, MemtableSize: 64, MaxSegments: 3})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -141,7 +141,7 @@ func TestConcurrentBatchSearch(t *testing.T) {
 		batchSize   = 6
 	)
 	d := testDist(t)
-	params := testParams(t, d, 1024, 3, 78)
+	params := testParams(d, 1024, 3, 78)
 	s, err := New(Config{Params: params, N: 1024, MemtableSize: 48, MaxSegments: 3})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -95,7 +95,7 @@ func (s *SegmentedIndex) RecoverWAL(log *wal.Log) error {
 	defer func() {
 		s.mu.Lock()
 		s.recovering = false
-		s.cond.Broadcast()
+		s.wake()
 		s.mu.Unlock()
 	}()
 	// Segment files live in Config.StorageDir when set, else next to
@@ -301,7 +301,7 @@ func (s *SegmentedIndex) persistFreezeLocked(seg *frozenSeg, rotLSN uint64) {
 		seg.path = path // now demotable
 	}
 	s.persisting = false
-	s.cond.Broadcast()
+	s.wake()
 }
 
 // persistCompactionLocked writes the merged segment's file and removes
@@ -349,7 +349,7 @@ func (s *SegmentedIndex) persistCompactionLocked(merged, a, b *frozenSeg) {
 		merged.path = path
 	}
 	s.persisting = false
-	s.cond.Broadcast()
+	s.wake()
 }
 
 func removeCkptFile(dir string, seq uint64) {

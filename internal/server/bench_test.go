@@ -17,6 +17,13 @@ import (
 // mode=first runs are the thin-query side: planted queries over the
 // sparse-first shape, where the first hit stops the other shards —
 // filters/op is the work the fan-out did not skip.
+//
+// The timed loops run with the plan hook disarmed (an armed
+// faultinject.Fire boxes its arguments, which alone was 5 of the 6
+// allocs/op at one shard); filtergen/op comes from an untimed pass over
+// the same queries. allocs/op at two or more shards cannot be compared
+// across runs: the helper goroutines a request starts allocate whenever
+// the runtime has no dead goroutine to reuse.
 func BenchmarkShardFanout(b *testing.B) {
 	const n = 4096
 	data := testData(n)
@@ -36,14 +43,13 @@ func BenchmarkShardFanout(b *testing.B) {
 			srv.Flush()
 			srv.WaitIdle()
 			m := bitvec.BraunBlanquetMeasure
-			filtergen, restore := countFilterGen()
-			defer restore()
+			query := func(i int) { srv.QueryBestContext(context.Background(), qs[i%len(qs)], m) }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				srv.QueryBestContext(context.Background(), qs[i%len(qs)], m)
+				query(i)
 			}
-			b.ReportMetric(float64(filtergen.Load())/float64(b.N), "filtergen/op")
+			b.ReportMetric(filtergenPerOp(b, query), "filtergen/op")
 		})
 	}
 	for _, shards := range []int{1, 2, 4} {
@@ -52,18 +58,32 @@ func BenchmarkShardFanout(b *testing.B) {
 			srv := loadFrozen(b, cfg, cw.Data)
 			m := bitvec.BraunBlanquetMeasure
 			filters := 0
-			filtergen, restore := countFilterGen()
-			defer restore()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			query := func(i int) {
 				_, stats, _, _ := srv.QueryContext(context.Background(), cw.Queries[i%len(cw.Queries)], thr, m)
 				filters += stats.Filters
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(i)
+			}
 			b.ReportMetric(float64(filters)/float64(b.N), "filters/op")
-			b.ReportMetric(float64(filtergen.Load())/float64(b.N), "filtergen/op")
+			b.ReportMetric(filtergenPerOp(b, query), "filtergen/op")
 		})
 	}
+}
+
+// filtergenPerOp stops the timer and reruns the timed loop's b.N
+// queries with the plan hook armed, returning the filter sets generated
+// per query.
+func filtergenPerOp(b *testing.B, query func(i int)) float64 {
+	b.StopTimer()
+	gen, restore := countFilterGen()
+	defer restore()
+	for i := 0; i < b.N; i++ {
+		query(i)
+	}
+	return float64(gen.Load()) / float64(b.N)
 }
 
 // BenchmarkShardInsert measures batched online insert throughput

@@ -11,6 +11,7 @@ import (
 	"skewsim/internal/datagen"
 	"skewsim/internal/dist"
 	"skewsim/internal/faultinject"
+	"skewsim/internal/lsf"
 	"skewsim/internal/obs"
 	"skewsim/internal/segment"
 )
@@ -67,11 +68,11 @@ func TestPlanGeneratesEachFilterSetOnce(t *testing.T) {
 // TestTruncationFallbackAgrees: with paths capped at one element, none
 // of them rare enough to complete, no vector has a filter, so no query
 // has a candidate; a budget of one path truncates every generation that
-// keeps two paths alive. core.Index.Query answers the truncated ones by its exact
-// scan; a SegmentedIndex and a server at 1, 2 and 4 shards must fall
-// back exactly when it does and agree with it — and with an exact
-// best-match scan — query by query on found and similarity, in every
-// mode.
+// keeps two paths alive. Which queries truncate in every repetition is
+// read off the lsf engines themselves, and their answers off an exact
+// scan (bruteforce): a SegmentedIndex, a core.Index and a server at 1,
+// 2 and 4 shards must fall back exactly for those queries and agree
+// with the scan, query by query on found and similarity, in every mode.
 func TestTruncationFallbackAgrees(t *testing.T) {
 	const n, queries = 600, 40
 	// Every p_i is above 1/n: no single element completes a path.
@@ -92,6 +93,28 @@ func TestTruncationFallbackAgrees(t *testing.T) {
 	exact, err := bruteforce.Build(cw.Data, bruteforce.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	reps := make([]*lsf.Engine, len(params))
+	for r, p := range params {
+		if reps[r], err = lsf.NewEngine(n, p); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := lsf.BuildIndex(reps[r], cw.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ix.Stats(); st.TotalFilters != 0 {
+			t.Fatalf("repetition %d indexes %d filters; queries would have candidates", r, st.TotalFilters)
+		}
+	}
+	allTruncated := func(q bitvec.Vector) bool {
+		for _, e := range reps {
+			var fs lsf.FilterSet
+			if e.FiltersInto(q, &fs); !fs.Truncated {
+				return false
+			}
+		}
+		return true
 	}
 	thr := ref.Threshold()
 	m := bitvec.BraunBlanquetMeasure
@@ -124,25 +147,25 @@ func TestTruncationFallbackAgrees(t *testing.T) {
 		}
 	}
 	firstWant := make([]answer, queries)
-	bestWant := make([]answer, queries) // nothing found unless core fell back
-	fell := make([]int, queries)        // 1 where core fell back
+	bestWant := make([]answer, queries) // nothing found unless the query falls back
+	fell := make([]int, queries)        // 1 where every repetition truncated
 	hits, fallbacks := 0, 0
 	for k, q := range cw.Queries {
-		res := ref.Query(q)
-		if res.Stats.Candidates != 0 {
-			t.Fatalf("query %d: core found candidates (stats %+v)", k, res.Stats)
-		}
-		firstWant[k] = answer{res.Found, res.Similarity}
-		if res.Stats.FellBack {
+		if allTruncated(q) {
 			fell[k] = 1
 			fallbacks++
-			b := exact.QueryBest(q)
-			bestWant[k] = answer{b.Found, b.Similarity}
+			f, b := exact.Query(q, thr), exact.QueryBest(q)
+			firstWant[k], bestWant[k] = answer{f.Found, f.Similarity}, answer{b.Found, b.Similarity}
 		}
-		if res.Found {
+		if firstWant[k].found {
 			hits++
 		}
 
+		res := ref.Query(q)
+		check("core first", k, answer{res.Found, res.Similarity}, firstWant[k])
+		closeTo(t, "core first FellBack", float64(res.Stats.FellBack), float64(fell[k]), 0)
+		res = ref.QueryBest(q)
+		check("core best", k, answer{res.Found, res.Similarity}, bestWant[k])
 		sr, st := segmentSearch(single, eng, q, m, segment.Request{Mode: segment.ModeFirst, Thresholds: []float64{thr}})
 		check("segment first", k, answer{sr.Found, sr.Match.Similarity}, firstWant[k])
 		closeTo(t, "segment first FellBack", float64(st.FellBack), float64(fell[k]), 0)
@@ -162,7 +185,7 @@ func TestTruncationFallbackAgrees(t *testing.T) {
 			mt, st, found := queryFirst(srv, q, thr, m)
 			check(name("first"), k, answer{found, mt.Similarity}, firstWant[k])
 			if (st.FellBack > 0) != (fell[k] > 0) {
-				t.Errorf("%s query %d: stats %+v, core fell back: %v", name("first"), k, st, fell[k] > 0)
+				t.Errorf("%s query %d: stats %+v, every repetition truncated: %v", name("first"), k, st, fell[k] > 0)
 			}
 			fellBack += st.FellBack
 			mt, st, found = queryBest(srv, q, m)
