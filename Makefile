@@ -100,10 +100,11 @@ test-cluster:
 # plain, must answer bit-identically to the index that wrote it), the
 # resident-budget tiering tests, the cold-segment compaction
 # regression, the storage SIGKILL crash matrix (mid segment-file write,
-# mid compaction sweep, mid demote/promote), and the concurrent
-# query-during-retier stress — all under the race detector.
+# mid compaction sweep, mid demote/promote), the concurrent
+# query-during-retier stress, and the snapshots that carry the same
+# containers — all under the race detector.
 test-storage:
-	$(GO) test -race -run 'FrozenBlob|PostingCodec|Storage|TierRace|Bloom' ./internal/lsf ./internal/segment ./internal/mmapio
+	$(GO) test -race -run 'FrozenBlob|PostingCodec|Storage|TierRace|Bloom|Snapshot' ./internal/lsf ./internal/segment ./internal/mmapio
 
 # Short fuzz smoke over the byte-level parsers and the intersect kernel
 # (assembly vs portable differential). Each target gets a few seconds of
@@ -111,12 +112,12 @@ test-storage:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/dataio
-	$(GO) test -run '^$$' -fuzz '^FuzzReadIndexFrom$$' -fuzztime $(FUZZTIME) ./internal/lsf
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/lsf
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersectKernel$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingCodec$$' -fuzztime $(FUZZTIME) ./internal/lsf
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime $(FUZZTIME) ./internal/segment
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/segment
 
 # Smoke-run the micro-benchmarks: one iteration each, with allocation
 # counters, so CI catches benchmarks that stop compiling or crash

@@ -9,6 +9,7 @@
 package skewsim_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -522,28 +523,44 @@ func BenchmarkLSFTraversal(b *testing.B) {
 
 // --- extension subsystems ---------------------------------------------------
 
-// BenchmarkSerializeIndex times a snapshot of a bulk-loaded index:
-// one frozen segment's vectors and bucket dumps.
+// BenchmarkSerializeIndex times a snapshot of a bulk-loaded index —
+// its one frozen segment as an SKSEG1 container, plain postings — and
+// its restore (write, read). bytes is the snapshot's size.
 func BenchmarkSerializeIndex(b *testing.B) {
 	d, w := benchWorkload(b, 1000)
 	params, err := core.EngineParams(core.Correlated, d, len(w.Data), 2.0/3, core.Options{Seed: 1, Repetitions: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := segment.BulkLoad(segment.Config{Params: params, N: len(w.Data)}, w.Data)
+	cfg := segment.Config{Params: params, N: len(w.Data)}
+	ix, err := segment.BulkLoad(cfg, w.Data)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	var bytesOut int64
-	for i := 0; i < b.N; i++ {
-		n, err := ix.WriteSnapshot(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bytesOut = n
+	var snap bytes.Buffer
+	if _, err := ix.WriteSnapshot(&snap); err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(bytesOut), "bytes")
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ix.WriteSnapshot(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(snap.Len()), "bytes")
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			back, err := segment.ReadSnapshot(bytes.NewReader(snap.Bytes()), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			back.Close()
+		}
+		b.ReportMetric(float64(snap.Len()), "bytes")
+	})
 }
 
 func BenchmarkSplitSearchVsSingle(b *testing.B) {

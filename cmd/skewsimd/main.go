@@ -267,7 +267,7 @@ func main() {
 		}
 		// With -wal-dir this also replays each shard's log tail on top of
 		// the snapshot, so a snapshot older than the log loses nothing.
-		srv, err = server.ReadSnapshot(f, cfg)
+		srv, _, err = server.ReadSnapshot(f, cfg)
 		f.Close()
 		if err != nil {
 			fatal("restoring snapshot", "path", *restorePath, "err", err)

@@ -63,9 +63,10 @@ const (
 	// request with a 500. Args: the shard number (int) and the requested
 	// from-LSN (uint64).
 	ReplicaFeedStall Point = "replica.feed-stall"
-	// ReplicaSnapshotTruncate fires in the bootstrap snapshot handler
-	// (GET /v1/replica/snapshot) after the header is written; a non-nil
-	// return aborts the response mid-stream, handing the follower a
+	// ReplicaSnapshotTruncate fires in server.WriteSnapshot (the
+	// GET /v1/replica/snapshot bootstrap stream among others) after the
+	// header is written; a non-nil return fails the write, and the
+	// handler aborts the response mid-stream, handing the follower a
 	// truncated snapshot. Args: none.
 	ReplicaSnapshotTruncate Point = "replica.snapshot-truncate"
 )

@@ -359,19 +359,3 @@ func containsElem(elems []uint32, v uint32) bool {
 	}
 	return false
 }
-
-// PathKey encodes a path as a compact string (big-endian fixed width per
-// element); distinct paths get distinct keys. The inverted index now
-// buckets by 64-bit path hashes, so PathKey survives only where a total
-// order or exact string identity is wanted: the serialization format's
-// deterministic bucket ordering and test assertions.
-func PathKey(path []uint32) string {
-	b := make([]byte, 4*len(path))
-	for k, e := range path {
-		b[4*k] = byte(e >> 24)
-		b[4*k+1] = byte(e >> 16)
-		b[4*k+2] = byte(e >> 8)
-		b[4*k+3] = byte(e)
-	}
-	return string(b)
-}

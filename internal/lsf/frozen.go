@@ -13,11 +13,10 @@ import (
 )
 
 // Relocatable frozen-index blob — the per-repetition payload of the
-// SKSEG1 segment container (internal/segment). Unlike WriteTo (the
-// bucket dump, which replays through the builder), this format stores
-// the frozen arenas verbatim, so an open is either zero-copy (the
-// arenas become views into a read-only mapping) or one flat decode —
-// never a rebuild. Layout, all little-endian, blob offset 0 assumed
+// SKSEG1 segment container (internal/segment), and the index's only
+// encoding. It stores the frozen arenas verbatim, so an open is either
+// zero-copy (the arenas become views into the container's bytes) or
+// one flat decode — never a rebuild. Layout, all little-endian, blob offset 0 assumed
 // 8-aligned by the container:
 //
 //	header (64 bytes):
@@ -299,7 +298,7 @@ func (r *frozenReader) section(elemSize, count int) ([]byte, error) {
 // (decode-on-read) and are fully decoded otherwise.
 //
 // engine may be nil for structural validation and bucket enumeration
-// (ForEachBucket, WriteTo); queries require the engine the index was
+// (ForEachBucket, WriteFrozen); queries require the engine the index was
 // built with. data is the local vector table posting ids refer to; all
 // ids are validated against len(data).
 func OpenFrozenBytes(b []byte, engine *Engine, data []bitvec.Vector, zeroCopy bool) (*Index, error) {

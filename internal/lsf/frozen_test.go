@@ -199,44 +199,37 @@ func TestFrozenIndexMatchesMapReference(t *testing.T) {
 }
 
 // TestSerializeRoundTripThroughFrozenLayout checks that serialization out
-// of the frozen arenas and deserialization back into them is lossless:
-// identical bucket contents, stats, query behaviour, and re-serialized
-// bytes.
+// of the frozen arenas (WriteFrozen) and a heap open back into them is
+// lossless: identical bucket contents, stats, query behaviour, and
+// re-serialized bytes, in both posting encodings.
 func TestSerializeRoundTripThroughFrozenLayout(t *testing.T) {
 	e, data, queries := differentialWorkload(t, 99)
 	ix, err := BuildIndex(e, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	firstBytes := append([]byte(nil), buf.Bytes()...)
-
-	back, err := ReadIndexFrom(&buf, e, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Stats() != ix.Stats() {
-		t.Fatalf("stats changed across round trip: %+v vs %+v", back.Stats(), ix.Stats())
-	}
-	if !indexesEqual(ix, back) {
-		t.Fatal("frozen bucket contents changed across round trip")
-	}
-	m := bitvec.BraunBlanquetMeasure
-	for k, q := range queries {
-		aID, aSim, aStats, aFound := ix.Query(q, 0.5, m)
-		bID, bSim, bStats, bFound := back.Query(q, 0.5, m)
-		if aID != bID || aSim != bSim || aStats != bStats || aFound != bFound {
-			t.Fatalf("query %d diverged after round trip", k)
+	for _, compress := range []bool{false, true} {
+		firstBytes := frozenBytes(t, ix, compress)
+		back, err := OpenFrozenBytes(firstBytes, e, data, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	var buf2 bytes.Buffer
-	if _, err := back.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(firstBytes, buf2.Bytes()) {
-		t.Fatal("re-serialized bytes differ from the original dump")
+		if back.Stats() != ix.Stats() {
+			t.Fatalf("stats changed across round trip: %+v vs %+v", back.Stats(), ix.Stats())
+		}
+		if !indexesEqual(ix, back) {
+			t.Fatal("frozen bucket contents changed across round trip")
+		}
+		m := bitvec.BraunBlanquetMeasure
+		for k, q := range queries {
+			aID, aSim, aStats, aFound := ix.Query(q, 0.5, m)
+			bID, bSim, bStats, bFound := back.Query(q, 0.5, m)
+			if aID != bID || aSim != bSim || aStats != bStats || aFound != bFound {
+				t.Fatalf("query %d diverged after round trip", k)
+			}
+		}
+		if !bytes.Equal(firstBytes, frozenBytes(t, back, compress)) {
+			t.Fatalf("compress=%v: re-serialized bytes differ from the original encoding", compress)
+		}
 	}
 }

@@ -89,17 +89,10 @@ func TestFrozenBlobDifferential(t *testing.T) {
 						seed, name, k, gID, gSim, gFound, wID, wSim, wFound)
 				}
 			}
-			// The bucket dump (serialization, compaction's merge source)
-			// must also be identical, cold or not.
-			var a, b bytes.Buffer
-			if _, err := ix.WriteTo(&a); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rix.WriteTo(&b); err != nil {
-				t.Fatalf("seed %d %s: WriteTo: %v", seed, name, err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("seed %d %s: bucket dump diverged (%d vs %d bytes)", seed, name, a.Len(), b.Len())
+			// The buckets (compaction's merge source) must also be
+			// identical, cold or not.
+			if !indexesEqual(ix, rix) {
+				t.Fatalf("seed %d %s: bucket contents diverged", seed, name)
 			}
 		}
 	}
@@ -231,6 +224,62 @@ func TestFrozenBlobRejectsCorruption(t *testing.T) {
 				for _, q := range queries[:5] {
 					rix.CandidateIDs(q)
 				}
+			}
+		}
+	}
+}
+
+// TestIndexWriteReadRoundTrip: a heap open of the plain WriteFrozen
+// encoding reproduces the index — buckets, stats, and answers.
+func TestIndexWriteReadRoundTrip(t *testing.T) {
+	e, data := fig1TestEngine(t, 250)
+	ix, err := BuildIndex(e, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenFrozenBytes(frozenBytes(t, ix, false), e, data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !indexesEqual(ix, back) {
+		t.Fatal("round trip changed the index")
+	}
+	for _, q := range data[:30] {
+		id1, s1, st1, f1 := ix.Query(q, 0.6, bitvec.BraunBlanquetMeasure)
+		id2, s2, st2, f2 := back.Query(q, 0.6, bitvec.BraunBlanquetMeasure)
+		if id1 != id2 || s1 != s2 || st1 != st2 || f1 != f2 {
+			t.Fatal("restored index answers differently")
+		}
+	}
+}
+
+// TestIndexWriteDeterministic: one index encodes to the same bytes
+// every time, in both posting encodings.
+func TestIndexWriteDeterministic(t *testing.T) {
+	e, data := fig1TestEngine(t, 100)
+	ix, err := BuildIndex(e, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compress := range []bool{false, true} {
+		if !bytes.Equal(frozenBytes(t, ix, compress), frozenBytes(t, ix, compress)) {
+			t.Fatalf("compress=%v: serialization not deterministic", compress)
+		}
+	}
+}
+
+// TestOpenFrozenRejectsOutOfRangeIDs: posting ids are validated against
+// the vector table the blob is opened over.
+func TestOpenFrozenRejectsOutOfRangeIDs(t *testing.T) {
+	e, data := fig1TestEngine(t, 100)
+	ix, err := BuildIndex(e, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compress := range []bool{false, true} {
+		for _, zeroCopy := range []bool{false, true} {
+			if _, err := OpenFrozenBytes(frozenBytes(t, ix, compress), e, data[:5], zeroCopy); !errors.Is(err, ErrFrozenBlob) && !errors.Is(err, ErrPostingCodec) {
+				t.Fatalf("compress=%v zeroCopy=%v: ids beyond a 5-vector table accepted (err=%v)", compress, zeroCopy, err)
 			}
 		}
 	}

@@ -24,65 +24,9 @@ func fuzzEngine(t testing.TB, n int) *Engine {
 	return eng
 }
 
-func fuzzData(n int) []bitvec.Vector {
-	data := make([]bitvec.Vector, n)
-	for i := range data {
-		data[i] = bitvec.New(uint32(i%29), uint32(7+i%13), uint32(20+i%11))
-	}
-	return data
-}
-
-// FuzzReadIndexFrom feeds arbitrary bytes into the index deserializer:
-// it must either error cleanly or produce an index whose re-serialized
-// form round-trips (the seed corpus includes a genuine WriteTo dump, so
-// the mutator explores the accepted grammar, not just the reject path).
-func FuzzReadIndexFrom(f *testing.F) {
-	const n = 64
-	eng := fuzzEngine(f, n)
-	data := fuzzData(n)
-	ix, err := BuildIndex(eng, data)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var genuine bytes.Buffer
-	if _, err := ix.WriteTo(&genuine); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(genuine.Bytes())
-	f.Add([]byte("SKLSF1"))
-	f.Add(append([]byte("SKLSF1"), make([]byte, 24)...))
-	f.Add([]byte("not an index"))
-	truncated := genuine.Bytes()[:genuine.Len()/2]
-	f.Add(truncated)
-
-	f.Fuzz(func(t *testing.T, in []byte) {
-		rix, err := ReadIndexFrom(bytes.NewReader(in), eng, data)
-		if err != nil {
-			return
-		}
-		// Accepted: the reconstruction must serialize back to a stream
-		// that parses to the same buckets (WriteTo is deterministic, so
-		// byte equality after one normalizing round trip).
-		var out1 bytes.Buffer
-		if _, err := rix.WriteTo(&out1); err != nil {
-			t.Fatalf("re-serialize failed: %v", err)
-		}
-		rix2, err := ReadIndexFrom(bytes.NewReader(out1.Bytes()), eng, data)
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		var out2 bytes.Buffer
-		if _, err := rix2.WriteTo(&out2); err != nil {
-			t.Fatalf("second serialize failed: %v", err)
-		}
-		if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
-			t.Fatalf("serialization not stable: %d vs %d bytes", out1.Len(), out2.Len())
-		}
-	})
-}
-
 // FuzzSerializeRoundTrip drives the write side: fuzzed dataset shapes
-// build an index whose dump must reparse into an identical dump.
+// build an index whose frozen encoding, in either posting format, must
+// reopen into an index that encodes to identical bytes.
 func FuzzSerializeRoundTrip(f *testing.F) {
 	f.Add(uint16(8), uint32(3))
 	f.Add(uint16(64), uint32(17))
@@ -103,21 +47,17 @@ func FuzzSerializeRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dump := buf.Bytes()
-		rix, err := ReadIndexFrom(bytes.NewReader(dump), eng, data)
-		if err != nil {
-			t.Fatalf("genuine dump rejected: %v", err)
-		}
-		var buf2 bytes.Buffer
-		if _, err := rix.WriteTo(&buf2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dump, buf2.Bytes()) {
-			t.Fatalf("round trip not byte-identical: %d vs %d", len(dump), buf2.Len())
+		for _, compress := range []bool{false, true} {
+			blob := frozenBytes(t, ix, compress)
+			for _, zeroCopy := range []bool{false, true} {
+				rix, err := OpenFrozenBytes(blob, eng, data, zeroCopy)
+				if err != nil {
+					t.Fatalf("compress=%v zeroCopy=%v: genuine blob rejected: %v", compress, zeroCopy, err)
+				}
+				if !bytes.Equal(blob, frozenBytes(t, rix, compress)) {
+					t.Fatalf("compress=%v zeroCopy=%v: round trip not byte-identical", compress, zeroCopy)
+				}
+			}
 		}
 	})
 }

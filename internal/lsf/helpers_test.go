@@ -1,6 +1,7 @@
 package lsf
 
 import (
+	"slices"
 	"testing"
 
 	"skewsim/internal/bitvec"
@@ -33,13 +34,29 @@ func fig1TestEngine(t *testing.T, n int) (*Engine, []bitvec.Vector) {
 	return e, data
 }
 
-// bucketSnapshot flattens the frozen bucket arenas into a path-keyed map
-// for representation-independent comparison.
+// PathKey encodes a path as a compact string (big-endian fixed width per
+// element); distinct paths get distinct keys. The index buckets by
+// 64-bit path hashes, so tests use it where exact string identity of a
+// path is wanted.
+func PathKey(path []uint32) string {
+	b := make([]byte, 4*len(path))
+	for k, e := range path {
+		b[4*k] = byte(e >> 24)
+		b[4*k+1] = byte(e >> 16)
+		b[4*k+2] = byte(e >> 8)
+		b[4*k+3] = byte(e)
+	}
+	return string(b)
+}
+
+// bucketSnapshot flattens an index's ForEachBucket contents into a
+// path-keyed map for representation-independent comparison: resident,
+// zero-copy and compressed cold indexes alike.
 func bucketSnapshot(ix *Index) map[string][]int32 {
 	out := make(map[string][]int32, len(ix.pathSpans))
-	for b := range ix.pathSpans {
-		out[PathKey(ix.bucketPath(int32(b)))] = ix.bucketIDs(int32(b))
-	}
+	ix.ForEachBucket(func(_ uint64, path []uint32, ids []int32) {
+		out[PathKey(path)] = slices.Clone(ids)
+	})
 	return out
 }
 

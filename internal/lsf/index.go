@@ -171,7 +171,7 @@ func (ix *Index) Postings(path []uint32) []int32 { return ix.postings(path) }
 // key table. Both slices are views into the arenas and must not be
 // modified or retained across calls. Bucket order is the internal
 // bucket numbering (first-insertion order, deterministic but not
-// sorted; WriteTo sorts by PathKey). This is the replay hook segment
+// sorted). This is the replay hook segment
 // compaction uses to merge frozen segments without recomputing any
 // filter or re-hashing any path.
 func (ix *Index) ForEachBucket(fn func(h uint64, path []uint32, ids []int32)) {

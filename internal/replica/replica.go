@@ -144,7 +144,7 @@ func Open(cfg Config) (*server.Server, *Replicator, error) {
 		// least as new.
 		snapPath := filepath.Join(cfg.StateDir, bootSnapFile)
 		if f, ferr := os.Open(snapPath); ferr == nil {
-			srv, _, err = server.ReadReplicaSnapshot(f, cfg.Server)
+			srv, _, err = server.ReadSnapshot(f, cfg.Server)
 			f.Close()
 			if err != nil {
 				return nil, nil, fmt.Errorf("replica: restoring bootstrap snapshot: %w", err)
@@ -193,7 +193,7 @@ func Open(cfg Config) (*server.Server, *Replicator, error) {
 }
 
 // bootstrap wipes any partial local state and rebuilds the follower
-// from the primary's SKREP1 snapshot stream. Up to three attempts: a
+// from the primary's snapshot stream. Up to three attempts: a
 // torn stream (primary fault, network cut) removes everything it wrote
 // before the retry, so a half-applied bootstrap can never be mistaken
 // for a complete one.
@@ -260,7 +260,7 @@ func bootstrapOnce(cfg Config) (*server.Server, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv, cursors, err := server.ReadReplicaSnapshot(rf, cfg.Server)
+	srv, cursors, err := server.ReadSnapshot(rf, cfg.Server)
 	rf.Close()
 	if err != nil {
 		os.Remove(tmp)
@@ -428,6 +428,10 @@ func (r *Replicator) pullOnce(shard int) (int, error) {
 	cursor := r.cursors[shard]
 	r.mu.Unlock()
 
+	// A 204 proves the shard caught up as of some moment after the
+	// request left, not as of its arrival: stamp the send time, so a
+	// slow response never reads fresher than it is.
+	sent := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.FetchTimeout)
 	defer cancel()
 	url := fmt.Sprintf("%s/v1/replica/wal?shard=%d&from_lsn=%d", r.cfg.Primary, shard, cursor+1)
@@ -453,7 +457,7 @@ func (r *Replicator) pullOnce(shard int) (int, error) {
 		r.mu.Lock()
 		r.lastSeen[shard] = cursor
 		r.caughtUp[shard] = true
-		r.lastCaught[shard] = time.Now()
+		r.lastCaught[shard] = sent
 		r.mu.Unlock()
 		if r.metrics != nil {
 			r.metrics.Fetches.Inc()

@@ -266,7 +266,7 @@ func checkpointSegment(tb testing.TB) (*SegmentedIndex, *frozenSeg, segDump) {
 	if len(s.segs) != 1 || s.segs[0].size() != 1024 {
 		tb.Fatalf("want one frozen segment of 1024 vectors, have %d segments", len(s.segs))
 	}
-	return s, s.segs[0], s.gatherSegLocked(s.segs[0])
+	return s, s.segs[0], s.gatherSegLocked(s.segs[0], slices.Clone(s.deadExt))
 }
 
 // BenchmarkSegmentedCheckpoint measures persisting one frozen segment

@@ -58,6 +58,9 @@ type searchState struct {
 	sinks []sink         // per query
 	cold  []int32        // decode scratch for cold compressed segments
 	cands []int32        // modeCandidates output
+	// ses and thr back a one-query Request (searchOne).
+	ses [1]*verify.Session
+	thr [1]float64
 }
 
 // sink is one query's running answer state beside its Result slot.
@@ -254,12 +257,10 @@ func (x *search) probe(cc *lsf.CancelCheck, r int, pr *planRep, k, from, to int)
 	for _, g := range s.segs {
 		ix, refs := g.reps[r], buf[:0]
 		for i := from; i < to; i++ {
-			if g.bloom != nil {
-				x.stats.BloomProbes++
-				if !g.bloom.mayContain(hashes[i]) {
-					x.stats.BloomSkips++
-					continue
-				}
+			x.stats.BloomProbes++
+			if !g.bloom.mayContain(hashes[i]) {
+				x.stats.BloomSkips++
+				continue
 			}
 			if ref, ok := ix.PathRefHash(hashes[i], fs.Path(i)); ok && ref.Len > 0 {
 				refs = append(refs, ref)

@@ -129,8 +129,7 @@ type frozenSeg struct {
 	walSeq uint64
 
 	// bloom is the segment's path-key filter (see bloom.go), consulted
-	// before any repetition probe; nil (snapshot restores) means always
-	// probe. Immutable once the segment is visible.
+	// before any repetition probe. Immutable once the segment is visible.
 	bloom *bloomFilter
 	// Tiering state, owned by the worker goroutine; reps/mapping swaps
 	// happen under the index write lock. path is the SKSEG1 file ("" =
@@ -505,6 +504,15 @@ func (s *SegmentedIndex) install(id int64, v bitvec.Vector, fss []*lsf.FilterSet
 // memtable postings. Caller holds the write lock and has already
 // verified the id is unused and slot space remains.
 func (s *SegmentedIndex) applyInsertLocked(id int64, v bitvec.Vector, fss []*lsf.FilterSet) {
+	s.mem.add(s.allocSlotLocked(id, v), fss)
+	if len(s.mem.slots) >= s.cfg.MemtableSize {
+		s.rotateLocked()
+	}
+}
+
+// allocSlotLocked registers v under the unused id in a new live slot
+// and returns it. Caller holds the write lock.
+func (s *SegmentedIndex) allocSlotLocked(id int64, v bitvec.Vector) int32 {
 	slot := int32(len(s.vecs))
 	s.vecs = append(s.vecs, v)
 	s.packed.Append(v)
@@ -515,10 +523,7 @@ func (s *SegmentedIndex) applyInsertLocked(id int64, v bitvec.Vector, fss []*lsf
 		s.nextAuto = id + 1
 	}
 	s.live++
-	s.mem.add(slot, fss)
-	if len(s.mem.slots) >= s.cfg.MemtableSize {
-		s.rotateLocked()
-	}
+	return slot
 }
 
 // rotateLocked moves the active memtable to the freeze queue and wakes
@@ -667,21 +672,33 @@ func (s *SegmentedIndex) getFilterSet() *lsf.FilterSet {
 // point of core.Index.Query and of the end-to-end benchmark's layer
 // ledger; the error is Search's.
 func (s *SegmentedIndex) QueryWithContext(ctx context.Context, ses *verify.Session, threshold float64) (Match, QueryStats, bool, error) {
-	return s.searchOne(ctx, Request{Sessions: []*verify.Session{ses}, Thresholds: []float64{threshold}, Mode: ModeFirst})
+	return s.searchOne(ctx, ses, threshold, ModeFirst)
 }
 
 // QueryBestWithContext answers one query in mode best: its most similar
 // candidate, ties to the lowest id: core.Index.QueryBest, and the
 // layer ledger's mode best.
 func (s *SegmentedIndex) QueryBestWithContext(ctx context.Context, ses *verify.Session) (Match, QueryStats, bool, error) {
-	return s.searchOne(ctx, Request{Sessions: []*verify.Session{ses}, Mode: ModeBest})
+	return s.searchOne(ctx, ses, 0, ModeBest)
 }
 
-func (s *SegmentedIndex) searchOne(ctx context.Context, req Request) (Match, QueryStats, bool, error) {
-	p := s.eng.plan(req.Sessions[0].Query())
+// searchOne is Search over one query, with the request's one-element
+// slices taken from the pooled search state so that it allocates
+// nothing. The threshold applies in mode first only.
+func (s *SegmentedIndex) searchOne(ctx context.Context, ses *verify.Session, threshold float64, mode Mode) (Match, QueryStats, bool, error) {
+	p := s.eng.plan(ses.Query())
 	defer s.eng.release(p)
-	res, stats, err := s.Search(lsf.NewCancelCheck(ctx), p, req)
-	return res[0].Match, stats, res[0].Found, err
+	st := searchStates.Get().(*searchState)
+	defer searchStates.Put(st)
+	st.ses[0], st.thr[0] = ses, threshold
+	req := Request{Sessions: st.ses[:], Mode: mode}
+	if mode == ModeFirst {
+		req.Thresholds = st.thr[:]
+	}
+	out := p.results(1)
+	stats, err := s.search(lsf.NewCancelCheck(ctx), p, &req, st, out)
+	st.ses[0] = nil
+	return out[0].Match, stats, out[0].Found, err
 }
 
 // Data returns the slot-indexed vector table (dead slots keep their

@@ -7,283 +7,216 @@ import (
 	"io"
 
 	"skewsim/internal/bitvec"
-	"skewsim/internal/lsf"
 )
 
-// Snapshot format. The engines are NOT serialized (they are
-// deterministic given Config.Params, which the caller owns — the same
-// contract as lsf serialization); each frozen segment's buckets
-// reuse the lsf bucket dump (lsf.Index.WriteTo / ReadIndexFrom), and
-// memtable vectors are stored raw and re-inserted on restore, which
-// recomputes their filters deterministically. All little-endian:
+// Snapshot format: a frozen segment travels as the same SKSEG1
+// container a checkpoint file holds (storage.go), so restore is a
+// checksum pass and zero-copy views, not a rebuild. The engines are
+// not serialized (they are deterministic given Config.Params, which
+// the caller owns); memtable vectors are stored raw and re-inserted on
+// restore, which recomputes their filters deterministically. All
+// little-endian:
 //
-//	magic    [6]byte "SKSNP1"
+//	magic    [6]byte "SKSNP2"
 //	reps     uint32  (validated against Config.Params on restore)
 //	nextAuto int64   (auto-id high-water mark)
+//	lsn      uint64  (applied WAL LSN at the cut: the replication cursor)
+//	dead     uint32, dead × int64 (every tombstoned id, once)
 //	segCount uint32
-//	segCount × segment:
-//	  count uint32
-//	  count × vector: ext int64, alive uint8, nbits uint32, bits []uint32
-//	  reps × lsf bucket dump
-//	memCount uint32  (memtable vectors: active + flushing)
-//	memCount × vector: ext int64, alive uint8, nbits uint32, bits []uint32
-//
-// (The magic was "SKSEG1" through PR 9; that name now belongs to the
-// on-disk segment container in storage.go. Both ends of the snapshot
-// stream — WriteSnapshot and its replication wrapper — live in this
-// repository, so the rename is not a wire break.)
-var snapMagic = [6]byte{'S', 'K', 'S', 'N', 'P', '1'}
+//	segCount × segment: len uint64, SKSEG1 container [len]byte
+//	  (plain postings, empty dead section)
+//	memCount uint32  (memtable vectors: flushing, then active)
+//	memCount × vector: ext int64, nbits uint32, bits [nbits]uint32
+var snapMagic = [6]byte{'S', 'K', 'S', 'N', 'P', '2'}
 
 // WriteSnapshot serializes the index under the read lock: one
 // consistent cut, concurrent with queries, blocking writers for the
-// duration. Tombstoned vectors are stored with a dead flag in both
-// sections: segment posting lists reference them by local id, and
-// memtable ones must keep their external ids registered so a restored
-// index still refuses to resurrect them (the InsertWithID contract).
+// duration. Each segment's container is streamed twice — a checksum
+// pass for its header, then the write — since the header leads it.
 func (s *SegmentedIndex) WriteSnapshot(w io.Writer) (int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v interface{}) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+	cw := &countWriter{w: w}
+	bw := bufio.NewWriter(cw) // its first error sticks; Flush returns it
+	le := binary.LittleEndian
+	hdr := append([]byte(nil), snapMagic[:]...)
+	hdr = le.AppendUint32(hdr, uint32(len(s.eng.reps)))
+	hdr = le.AppendUint64(hdr, uint64(s.nextAuto))
+	hdr = le.AppendUint64(hdr, s.appliedLSN)
+	// Recovery can list an id dead twice; the snapshot lists it once.
+	dead := make([]int64, 0, len(s.deadExt))
+	seen := make(map[int64]bool, len(s.deadExt))
+	for _, id := range s.deadExt {
+		if !seen[id] {
+			seen[id] = true
+			dead = append(dead, id)
 		}
-		n += int64(binary.Size(v))
-		return nil
 	}
-	writeVec := func(slot int32, withAlive bool) error {
-		if err := write(s.ext[slot]); err != nil {
-			return err
-		}
-		if withAlive {
-			a := uint8(0)
-			if s.alive[slot] {
-				a = 1
-			}
-			if err := write(a); err != nil {
-				return err
-			}
-		}
-		bits := s.vecs[slot].Bits()
-		if err := write(uint32(len(bits))); err != nil {
-			return err
-		}
-		return write(bits)
+	hdr = le.AppendUint32(hdr, uint32(len(dead)))
+	for _, id := range dead {
+		hdr = le.AppendUint64(hdr, uint64(id))
 	}
-	if err := write(snapMagic); err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(s.eng.reps))); err != nil {
-		return n, err
-	}
-	if err := write(s.nextAuto); err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(s.segs))); err != nil {
-		return n, err
-	}
+	hdr = le.AppendUint32(hdr, uint32(len(s.segs)))
+	bw.Write(hdr)
+	buf, noHook := make([]byte, 0, segChunk), func(string) {}
 	for _, g := range s.segs {
-		if err := write(uint32(len(g.slots))); err != nil {
-			return n, err
-		}
-		for _, slot := range g.slots {
-			if err := writeVec(slot, true); err != nil {
-				return n, err
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return n, err
-		}
-		for _, rep := range g.reps {
-			m, err := rep.WriteTo(w)
-			n += m
-			if err != nil {
-				return n, err
-			}
+		dump := s.gatherSegLocked(g, nil)
+		sizing := &segFileWriter{buf: buf}
+		sizing.Write(make([]byte, segHeaderSpace(len(g.reps))))
+		entries := sizing.sections(dump, g.reps, g.bloom, false, noHook)
+		bw.Write(le.AppendUint64(nil, uint64(sizing.off)))
+		out := &segFileWriter{w: bw, buf: buf}
+		out.Write(segFileHeader(entries, len(g.reps), len(dump.exts), 0, false))
+		out.Write(make([]byte, segHeaderSpace(len(g.reps))-int(out.off)))
+		out.sections(dump, g.reps, g.bloom, false, noHook)
+		if out.err != nil {
+			return cw.n, out.err
 		}
 	}
-	memSlots := make([]int32, 0, len(s.mem.slots))
+	var mem []int32
 	for _, mt := range s.flushing {
-		memSlots = append(memSlots, mt.slots...)
+		mem = append(mem, mt.slots...)
 	}
-	memSlots = append(memSlots, s.mem.slots...)
-	if err := write(uint32(len(memSlots))); err != nil {
-		return n, err
-	}
-	for _, slot := range memSlots {
-		if err := writeVec(slot, true); err != nil {
-			return n, err
+	mem = append(mem, s.mem.slots...)
+	b := le.AppendUint32(hdr[:0], uint32(len(mem)))
+	for _, slot := range mem {
+		bw.Write(b)
+		bits := s.vecs[slot].Bits()
+		b = le.AppendUint64(b[:0], uint64(s.ext[slot]))
+		b = le.AppendUint32(b, uint32(len(bits)))
+		for _, e := range bits {
+			b = le.AppendUint32(b, e)
 		}
 	}
-	return n, bw.Flush()
+	bw.Write(b)
+	err := bw.Flush()
+	return cw.n, err
+}
+
+// countWriter counts the bytes that reach w.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // ReadSnapshot reconstructs an index from a WriteSnapshot stream. cfg
 // must carry the same Params the snapshotted index was built with
 // (identical seeds — posting lists only mean anything under the same
-// filter mappings). The restored index starts its own background
-// worker; the caller owns Closing it.
+// filter mappings). Each container is read into one heap buffer,
+// validated by parseSegContainer and served zero-copy from it, with
+// its bloom filter. The restored index reports the snapshot's applied
+// LSN until a WAL attaches, starts its own background worker, and is
+// the caller's to Close.
 func ReadSnapshot(r io.Reader, cfg Config) (*SegmentedIndex, error) {
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			s.Close()
-		}
-	}()
-	br := bufio.NewReader(r)
-	var magic [6]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("segment: reading magic: %w", err)
+	if err := s.readSnapshot(bufio.NewReader(r)); err != nil {
+		s.Close()
+		return nil, err
 	}
-	if magic != snapMagic {
-		return nil, fmt.Errorf("segment: bad magic %q", magic)
-	}
-	var reps, segCount uint32
-	var nextAuto int64
-	if err := binary.Read(br, binary.LittleEndian, &reps); err != nil {
-		return nil, fmt.Errorf("segment: reading header: %w", err)
-	}
-	if int(reps) != len(s.eng.reps) {
-		return nil, fmt.Errorf("segment: snapshot has %d repetitions, config %d", reps, len(s.eng.reps))
-	}
-	if err := binary.Read(br, binary.LittleEndian, &nextAuto); err != nil {
-		return nil, fmt.Errorf("segment: reading header: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &segCount); err != nil {
-		return nil, fmt.Errorf("segment: reading header: %w", err)
-	}
-	const maxReasonable = 1 << 24
-	if segCount > 1<<20 {
-		return nil, fmt.Errorf("segment: implausible segment count %d", segCount)
-	}
-	readVec := func(withAlive bool) (ext int64, alive bool, v bitvec.Vector, err error) {
-		if err = binary.Read(br, binary.LittleEndian, &ext); err != nil {
-			return
-		}
-		alive = true
-		if withAlive {
-			var a uint8
-			if err = binary.Read(br, binary.LittleEndian, &a); err != nil {
-				return
-			}
-			alive = a == 1
-		}
-		var nbits uint32
-		if err = binary.Read(br, binary.LittleEndian, &nbits); err != nil {
-			return
-		}
-		if nbits > maxReasonable {
-			err = fmt.Errorf("segment: implausible vector size %d", nbits)
-			return
-		}
-		bits := make([]uint32, nbits)
-		if err = binary.Read(br, binary.LittleEndian, bits); err != nil {
-			return
-		}
-		// New (not FromSorted) so a corrupted stream cannot panic; for a
-		// faithful stream the bits are already sorted and New is a copy.
-		v = bitvec.New(bits...)
-		return
-	}
-	for gi := uint32(0); gi < segCount; gi++ {
-		var count uint32
-		if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-			return nil, fmt.Errorf("segment: segment %d header: %w", gi, err)
-		}
-		if count > maxReasonable {
-			return nil, fmt.Errorf("segment: implausible segment size %d", count)
-		}
-		seg := &frozenSeg{
-			slots: make([]int32, count),
-			reps:  make([]*lsf.Index, len(s.eng.reps)),
-		}
-		data := make([]bitvec.Vector, count)
-		for i := uint32(0); i < count; i++ {
-			ext, alive, v, err := readVec(true)
-			if err != nil {
-				return nil, fmt.Errorf("segment: segment %d vector %d: %w", gi, i, err)
-			}
-			slot, err := s.restoreSlot(ext, alive, v)
-			if err != nil {
-				return nil, err
-			}
-			seg.slots[i] = slot
-			data[i] = v
-		}
-		for ri := range seg.reps {
-			ix, err := lsf.ReadIndexFrom(br, s.eng.reps[ri], data)
-			if err != nil {
-				return nil, fmt.Errorf("segment: segment %d repetition %d: %w", gi, ri, err)
-			}
-			seg.reps[ri] = ix
-		}
-		s.mu.Lock()
-		s.segs = append(s.segs, seg)
-		s.wake() // the worker compacts if the snapshot overflows MaxSegments
-		s.mu.Unlock()
-	}
-	var memCount uint32
-	if err := binary.Read(br, binary.LittleEndian, &memCount); err != nil {
-		return nil, fmt.Errorf("segment: memtable header: %w", err)
-	}
-	if memCount > maxReasonable {
-		return nil, fmt.Errorf("segment: implausible memtable size %d", memCount)
-	}
-	for i := uint32(0); i < memCount; i++ {
-		ext, alive, v, err := readVec(true)
-		if err != nil {
-			return nil, fmt.Errorf("segment: memtable vector %d: %w", i, err)
-		}
-		if err := s.InsertWithID(ext, v); err != nil {
-			return nil, err
-		}
-		// Re-insert then tombstone: the id stays registered (never
-		// resurrectable), exactly as in the snapshotted index.
-		if !alive {
-			s.Delete(ext)
-		}
-	}
-	s.mu.Lock()
-	if nextAuto > s.nextAuto {
-		s.nextAuto = nextAuto
-	}
-	s.mu.Unlock()
-	ok = true
 	return s, nil
 }
 
-// restoreSlot allocates a slot for a snapshot-restored segment vector
-// without going through the memtable (its postings already live in the
-// segment being read).
-func (s *SegmentedIndex) restoreSlot(ext int64, alive bool, v bitvec.Vector) (int32, error) {
+func (s *SegmentedIndex) readSnapshot(br *bufio.Reader) error {
+	le := binary.LittleEndian
+	hdr, err := readN(br, 6+4+8+8+4)
+	if err != nil {
+		return fmt.Errorf("segment: reading snapshot header: %w", err)
+	}
+	if [6]byte(hdr) != snapMagic {
+		return fmt.Errorf("segment: snapshot magic %q, want %q (older snapshot formats are not readable)", hdr[:6], snapMagic)
+	}
+	if reps := le.Uint32(hdr[6:]); int(reps) != len(s.eng.reps) {
+		return fmt.Errorf("segment: snapshot has %d repetitions, config %d", reps, len(s.eng.reps))
+	}
+	nextAuto, lsn := int64(le.Uint64(hdr[10:])), le.Uint64(hdr[18:])
+	deadB, err := readN(br, 8*uint64(le.Uint32(hdr[26:])))
+	if err != nil {
+		return fmt.Errorf("segment: reading snapshot dead list: %w", err)
+	}
+	var segCount uint32
+	if err := binary.Read(br, le, &segCount); err != nil {
+		return fmt.Errorf("segment: reading snapshot header: %w", err)
+	}
+	for gi := uint32(0); gi < segCount; gi++ {
+		var n uint64
+		if err := binary.Read(br, le, &n); err != nil {
+			return fmt.Errorf("segment: segment %d length: %w", gi, err)
+		}
+		b, err := readN(br, n)
+		if err != nil {
+			return fmt.Errorf("segment: segment %d: %w", gi, err)
+		}
+		c, err := parseSegContainer(b, len(s.eng.reps), true)
+		if err == nil && len(c.dead) != 0 {
+			err = fmt.Errorf("segment: snapshot container carries %d dead ids", len(c.dead))
+		}
+		if err == nil {
+			err = s.installSeg(c, &frozenSeg{}, true)
+		}
+		if err != nil {
+			return fmt.Errorf("segment: segment %d: %w", gi, err)
+		}
+	}
+	var memCount uint32
+	if err := binary.Read(br, le, &memCount); err != nil {
+		return fmt.Errorf("segment: memtable header: %w", err)
+	}
+	for i := uint32(0); i < memCount; i++ {
+		vh, err := readN(br, 12)
+		if err != nil {
+			return fmt.Errorf("segment: memtable vector %d: %w", i, err)
+		}
+		bitsB, err := readN(br, 4*uint64(le.Uint32(vh[8:])))
+		if err != nil {
+			return fmt.Errorf("segment: memtable vector %d: %w", i, err)
+		}
+		bits := make([]uint32, len(bitsB)/4)
+		for j := range bits {
+			bits[j] = le.Uint32(bitsB[4*j:])
+		}
+		// New, not FromSorted: a corrupt stream must not break the
+		// sorted-set invariant.
+		if err := s.InsertWithID(int64(le.Uint64(vh)), bitvec.New(bits...)); err != nil {
+			return err
+		}
+	}
+	// Tombstones go last, once every vector they may name is in.
+	for j := 0; j < len(deadB); j += 8 {
+		s.applyDeadID(int64(le.Uint64(deadB[j:])))
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, taken := s.slotOf[ext]; taken {
-		return 0, fmt.Errorf("segment: snapshot repeats id %d", ext)
+	s.nextAuto = max(s.nextAuto, nextAuto)
+	s.appliedLSN = lsn
+	s.mu.Unlock()
+	return nil
+}
+
+// readN reads exactly n bytes into one buffer of capacity n, growing it
+// geometrically as they arrive, so a corrupt length fails at the end of
+// the stream instead of at an allocation.
+func readN(r io.Reader, n uint64) ([]byte, error) {
+	if n > 1<<40 {
+		return nil, fmt.Errorf("implausible length %d", n)
 	}
-	slot := int32(len(s.vecs))
-	s.vecs = append(s.vecs, v)
-	// The snapshot never stores packed forms (the on-disk format is
-	// unchanged); they are rebuilt deterministically slot by slot here.
-	s.packed.Append(v)
-	s.alive = append(s.alive, alive)
-	s.ext = append(s.ext, ext)
-	s.slotOf[ext] = slot
-	if ext >= s.nextAuto {
-		s.nextAuto = ext + 1
+	b := make([]byte, 0, min(n, 1<<20))
+	for uint64(len(b)) < n {
+		if len(b) == cap(b) {
+			b = append(make([]byte, 0, min(n, 2*uint64(cap(b)))), b...)
+		}
+		k, err := io.ReadFull(r, b[len(b):cap(b)])
+		b = b[:len(b)+k]
+		if err != nil {
+			return nil, err
+		}
 	}
-	if alive {
-		s.live++
-	} else {
-		// Keep the tombstone registry complete: future WAL checkpoint
-		// files must list every dead id so fenced delete records stay
-		// recoverable.
-		s.deadExt = append(s.deadExt, ext)
-	}
-	return slot, nil
+	return b, nil
 }

@@ -3,6 +3,7 @@ package segment
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,7 +26,8 @@ import (
 // relocatable frozen-index blob (lsf.WriteFrozen) per repetition.
 // Writing streams each section from its source to the file through one
 // 2 MiB chunk buffer, so a checkpoint's heap cost does not grow with
-// the segment (writeSegFile).
+// the segment (writeSegFile). A snapshot carries each of its segments
+// as the same container (serialize.go).
 // Because the per-repetition blobs store the frozen arenas verbatim,
 // opening a file is either zero-copy — the arenas become typed views
 // into a read-only mmap, which is how cold segments serve queries —
@@ -94,15 +96,16 @@ type segEntry struct {
 	crc            uint32
 }
 
-// segFileWriter streams a segment file through one segChunk buffer,
-// checksumming the open section as it goes. The first error sticks:
-// later writes are dropped and the caller sees it when it finishes.
+// segFileWriter streams an SKSEG1 container through one segChunk
+// buffer, checksumming the open section as it goes. The first error
+// sticks: later writes are dropped and the caller sees it when it
+// finishes.
 type segFileWriter struct {
-	f     *os.File
-	seq   uint64 // checkpoint sequence, passed to the fault point
-	buf   []byte // bytes not yet written; len < segChunk between calls
-	off   int64  // file offset of the next byte
-	crc   uint32 // CRC-32C of the open section up to buf[crcAt:]
+	w     io.Writer // nil: a checksum-only pass, nothing is written
+	seq   uint64    // checkpoint sequence, passed to the fault point; 0 in snapshots
+	buf   []byte    // bytes not yet written; len < segChunk between calls
+	off   int64     // container offset of the next byte
+	crc   uint32    // CRC-32C of the open section up to buf[crcAt:]
 	crcAt int
 	err   error
 }
@@ -144,14 +147,14 @@ func (w *segFileWriter) sum() {
 }
 
 // flush writes the buffered bytes: a whole chunk, except at the end of
-// the file.
+// the container.
 func (w *segFileWriter) flush() {
 	w.sum()
-	if w.err == nil {
+	if w.err == nil && w.seq != 0 {
 		w.err = faultinject.Fire(faultinject.SegmentCheckpointChunk, w.seq, w.off-int64(len(w.buf)))
 	}
-	if w.err == nil {
-		_, w.err = w.f.Write(w.buf)
+	if w.err == nil && w.w != nil {
+		_, w.err = w.w.Write(w.buf)
 	}
 	w.buf, w.crcAt = w.buf[:0], 0
 }
@@ -169,29 +172,15 @@ func (w *segFileWriter) section(kind, ord, aux uint32, body func()) segEntry {
 	return e
 }
 
-// writeSegFile atomically persists one frozen segment as an SKSEG1
-// container and returns its path and size. The file is streamed to a
-// temp name — a zeroed placeholder where the header goes, then every
-// section straight from its source (the frozen arenas via
-// lsf.WriteFrozen), checksummed on the way through one segChunk buffer
-// — and the header is written over the placeholder once the section
-// table is known. Then fsync, crash-hook, rename into place, fsync the
-// directory. The frozen lsf indexes are immutable, so no index lock is
-// held during any of this.
-func writeSegFile(dir string, seq uint64, dump segDump, reps []*lsf.Index, bloom *bloomFilter, compress bool, hook func(string)) (string, int64, error) {
-	if err := faultinject.Fire(faultinject.SegmentCheckpointWrite, seq); err != nil {
-		return "", 0, fmt.Errorf("segment: checkpoint: %w", err)
-	}
-	final := filepath.Join(dir, ckptName(seq))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return "", 0, fmt.Errorf("segment: checkpoint: %w", err)
-	}
-	w := &segFileWriter{f: f, seq: seq, buf: make([]byte, 0, segChunk)}
-	nsect := 5 + len(reps)
-	w.Write(make([]byte, pad8(segFileFixedHdr+20+segEntryLen*nsect))) // the header's placeholder
-	entries := make([]segEntry, 0, nsect)
+// segHeaderSpace is the bytes a container with reps repetitions
+// reserves for its header, padded to the first section.
+func segHeaderSpace(reps int) int { return pad8(segFileFixedHdr + 20 + segEntryLen*(5+reps)) }
+
+// sections streams every section of one segment's container through
+// w, which the header space already precedes, and returns the section
+// table. Checkpoint files and snapshots both emit through here.
+func (w *segFileWriter) sections(dump segDump, reps []*lsf.Index, bloom *bloomFilter, compress bool, hook func(string)) []segEntry {
+	entries := make([]segEntry, 0, 5+len(reps))
 	entries = append(entries,
 		w.section(sectExts, 0, 0, func() {
 			for _, ext := range dump.exts {
@@ -231,6 +220,31 @@ func writeSegFile(dir string, seq uint64, dump segDump, reps []*lsf.Index, bloom
 		}
 	}
 	w.flush()
+	return entries
+}
+
+// writeSegFile atomically persists one frozen segment as an SKSEG1
+// container and returns its path and size. The file is streamed to a
+// temp name — a zeroed placeholder where the header goes, then every
+// section straight from its source (the frozen arenas via
+// lsf.WriteFrozen), checksummed on the way through one segChunk buffer
+// — and the header is written over the placeholder once the section
+// table is known. Then fsync, crash-hook, rename into place, fsync the
+// directory. The frozen lsf indexes are immutable, so no index lock is
+// held during any of this.
+func writeSegFile(dir string, seq uint64, dump segDump, reps []*lsf.Index, bloom *bloomFilter, compress bool, hook func(string)) (string, int64, error) {
+	if err := faultinject.Fire(faultinject.SegmentCheckpointWrite, seq); err != nil {
+		return "", 0, fmt.Errorf("segment: checkpoint: %w", err)
+	}
+	final := filepath.Join(dir, ckptName(seq))
+	tmp := final + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return "", 0, fmt.Errorf("segment: checkpoint: %w", err)
+	}
+	w := &segFileWriter{w: f, seq: seq, buf: make([]byte, 0, segChunk)}
+	w.Write(make([]byte, segHeaderSpace(len(reps)))) // the header's placeholder
+	entries := w.sections(dump, reps, bloom, compress, hook)
 	size := w.off
 	if err = w.err; err == nil {
 		_, err = f.WriteAt(segFileHeader(entries, len(reps), len(dump.exts), len(dump.dead), compress), 0)
@@ -531,42 +545,53 @@ func (s *SegmentedIndex) loadSegFiles(dir string) (uint64, error) {
 
 // loadSegFile maps one SKSEG1 file and installs it as a cold frozen
 // segment, folding its tombstone snapshot into dead.
-func (s *SegmentedIndex) loadSegFile(path string, seq uint64, dead map[int64]bool) (err error) {
+func (s *SegmentedIndex) loadSegFile(path string, seq uint64, dead map[int64]bool) error {
 	m, err := mmapio.Open(path)
 	if err != nil {
 		return fmt.Errorf("segment: %w", err)
 	}
-	defer func() {
-		if err != nil {
-			m.Close()
-		}
-	}()
 	c, err := parseSegContainer(m.Data(), len(s.eng.reps), true)
+	if err == nil {
+		err = s.installSeg(c, &frozenSeg{walSeq: seq, path: path, mapping: m}, false)
+	}
 	if err != nil {
+		m.Close()
 		return fmt.Errorf("segment: %s: %w", filepath.Base(path), err)
 	}
-	seg := &frozenSeg{
-		slots:   make([]int32, len(c.exts)),
-		walSeq:  seq,
-		path:    path,
-		mapping: m,
-		bloom:   c.bloom,
-	}
-	for i, ext := range c.exts {
-		seg.slots[i] = s.findOrRestoreSlot(ext, c.vecs[i])
-	}
-	seg.reps, err = s.openSegReps(c, c.vecs)
-	if err != nil {
-		return fmt.Errorf("segment: %s: %w", filepath.Base(path), err)
-	}
-	seg.arenaBytes = segArenaBytes(seg.reps)
 	for _, id := range c.dead {
 		dead[id] = true
 	}
+	return nil
+}
+
+// installSeg opens a parsed container's repetitions zero-copy over its
+// bytes, registers its vectors, and appends it to the segment list as
+// seg. A vector whose id is already registered reuses its slot — the
+// idempotence that makes snapshot-plus-tail and crash-repeated freezes
+// safe — unless strict, which refuses it instead (a snapshot never
+// repeats an id). New slots start alive; tombstones are applied by the
+// caller once every segment is in.
+func (s *SegmentedIndex) installSeg(c *segContainer, seg *frozenSeg, strict bool) error {
+	reps, err := s.openSegReps(c, c.vecs)
+	if err != nil {
+		return err
+	}
+	seg.reps, seg.bloom, seg.arenaBytes = reps, c.bloom, segArenaBytes(reps)
+	seg.slots = make([]int32, len(c.exts))
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, ext := range c.exts {
+		slot, ok := s.slotOf[ext]
+		if ok && strict {
+			return fmt.Errorf("segment: snapshot repeats id %d", ext)
+		}
+		if !ok {
+			slot = s.allocSlotLocked(ext, c.vecs[i])
+		}
+		seg.slots[i] = slot
+	}
 	s.segs = append(s.segs, seg)
 	s.wake() // compaction or retier may be due after the load
-	s.mu.Unlock()
 	return nil
 }
 

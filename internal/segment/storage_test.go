@@ -333,10 +333,10 @@ func TestStorageColdCompaction(t *testing.T) {
 			}
 			for r := range mergedResident.reps {
 				var w, g bytes.Buffer
-				if _, err := mergedResident.reps[r].WriteTo(&w); err != nil {
+				if _, err := mergedResident.reps[r].WriteFrozen(&w, false); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := mergedCold.reps[r].WriteTo(&g); err != nil {
+				if _, err := mergedCold.reps[r].WriteFrozen(&g, false); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(w.Bytes(), g.Bytes()) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"skewsim/internal/bitvec"
@@ -252,15 +253,15 @@ type segDump struct {
 }
 
 // gatherSegLocked copies the external ids and vector references of
-// seg's slots plus the current tombstone list. Caller holds the lock
-// (the ext/vecs/deadExt tables may be appended to concurrently
-// otherwise); vectors themselves are immutable, so the references stay
-// valid after release.
-func (s *SegmentedIndex) gatherSegLocked(seg *frozenSeg) segDump {
+// seg's slots, beside the tombstone list dead. Caller holds the lock
+// (the ext/vecs tables may be appended to concurrently otherwise);
+// vectors themselves are immutable, so the references stay valid after
+// release.
+func (s *SegmentedIndex) gatherSegLocked(seg *frozenSeg, dead []int64) segDump {
 	d := segDump{
 		exts: make([]int64, len(seg.slots)),
 		vecs: make([]bitvec.Vector, len(seg.slots)),
-		dead: append([]int64(nil), s.deadExt...),
+		dead: dead,
 	}
 	for i, slot := range seg.slots {
 		d.exts[i] = s.ext[slot]
@@ -280,7 +281,7 @@ func (s *SegmentedIndex) persistFreezeLocked(seg *frozenSeg, rotLSN uint64) {
 	seq := s.segSeq
 	s.segSeq++
 	seg.walSeq = seq
-	dump := s.gatherSegLocked(seg)
+	dump := s.gatherSegLocked(seg, slices.Clone(s.deadExt))
 	compress := s.cfg.CompressPostings
 	mt := s.cfg.Metrics
 	s.persisting = true
@@ -320,7 +321,7 @@ func (s *SegmentedIndex) persistCompactionLocked(merged, a, b *frozenSeg) {
 		seq = s.segSeq
 		s.segSeq++
 		merged.walSeq = seq
-		dump = s.gatherSegLocked(merged)
+		dump = s.gatherSegLocked(merged, slices.Clone(s.deadExt))
 	}
 	mt := s.cfg.Metrics
 	s.persisting = true
@@ -389,27 +390,4 @@ func (s *SegmentedIndex) applyDeadID(id int64) {
 		return
 	}
 	s.noteDeadIDLocked(id)
-}
-
-// findOrRestoreSlot returns the slot already registered for ext, or
-// allocates one for v outside the memtable (postings arrive with the
-// checkpoint segment being loaded). New slots start alive; pinned
-// delete records re-kill them during replay.
-func (s *SegmentedIndex) findOrRestoreSlot(ext int64, v bitvec.Vector) int32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if slot, ok := s.slotOf[ext]; ok {
-		return slot
-	}
-	slot := int32(len(s.vecs))
-	s.vecs = append(s.vecs, v)
-	s.packed.Append(v)
-	s.alive = append(s.alive, true)
-	s.ext = append(s.ext, ext)
-	s.slotOf[ext] = slot
-	if ext >= s.nextAuto {
-		s.nextAuto = ext + 1
-	}
-	s.live++
-	return slot
 }

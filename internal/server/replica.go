@@ -1,11 +1,8 @@
 package server
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -24,8 +21,8 @@ import (
 //	   204  caught up (nothing at or above from_lsn yet)
 //	   410  from_lsn truncated by checkpoint — bootstrap from snapshot
 //	GET /v1/replica/snapshot
-//	   200  SKREP1 stream: replica header (per-shard applied LSNs, the
-//	        resume cursors) followed by the standard SKSRV1 snapshot
+//	   200  the standard server snapshot (WriteSnapshot), whose shard
+//	        sections carry the per-shard applied LSNs: the resume cursors
 //	POST /v1/admin/promote
 //	   follower only (HandlerConfig.Promote): stop replicating, leave
 //	   read-only mode, start accepting writes
@@ -36,14 +33,6 @@ import (
 // follower cursor may safely under-report — never over-report — what
 // it has applied. internal/replica implements the follower side;
 // cmd/skewgate routes around dead primaries using /healthz roles.
-
-// repMagic heads a replica bootstrap snapshot:
-//
-//	magic  [6]byte "SKREP1"
-//	shards uint32
-//	shards × applied LSN uint64   (feed resume cursor per shard)
-//	standard SKSRV1 server snapshot
-var repMagic = [6]byte{'S', 'K', 'R', 'E', 'P', '1'}
 
 // maxReplicaChunk bounds one feed response. Large enough to drain a
 // big backlog in few round trips, small enough to keep the primary's
@@ -103,74 +92,6 @@ func (s *Server) ReseedNextID() {
 	}
 }
 
-// shardAppliedLSNs captures every shard's applied-LSN cursor. Taken
-// BEFORE the snapshot bytes are cut so the cursors can only
-// under-report the snapshot's contents — re-applied records are
-// idempotent, skipped ones would be lost.
-func (s *Server) shardAppliedLSNs() []uint64 {
-	lsns := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		lsns[i] = sh.AppliedLSN()
-	}
-	return lsns
-}
-
-// WriteReplicaSnapshot writes the SKREP1 bootstrap stream: per-shard
-// feed cursors, then the ordinary server snapshot. Concurrent writes
-// during the dump are fine — anything a later shard dump includes is
-// also above the captured cursors and will simply re-apply.
-func (s *Server) WriteReplicaSnapshot(w io.Writer) (int64, error) {
-	lsns := s.shardAppliedLSNs()
-	hdr := make([]byte, 0, 10+8*len(lsns))
-	hdr = append(hdr, repMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.shards)))
-	for _, lsn := range lsns {
-		hdr = binary.LittleEndian.AppendUint64(hdr, lsn)
-	}
-	n, err := w.Write(hdr)
-	if err != nil {
-		return int64(n), err
-	}
-	if err := faultinject.Fire(faultinject.ReplicaSnapshotTruncate); err != nil {
-		return int64(n), err
-	}
-	m, err := s.WriteSnapshot(w)
-	return int64(n) + m, err
-}
-
-// ReadReplicaSnapshot restores a Server from a WriteReplicaSnapshot
-// stream and returns the per-shard feed cursors to resume from. cfg
-// rules are exactly ReadSnapshot's; the follower passes its own WALDir
-// so the restored state is durable locally.
-func ReadReplicaSnapshot(r io.Reader, cfg Config) (*Server, []uint64, error) {
-	br := bufio.NewReader(r)
-	var magic [6]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, nil, fmt.Errorf("server: reading replica magic: %w", err)
-	}
-	if magic != repMagic {
-		return nil, nil, fmt.Errorf("server: bad replica magic %q", magic)
-	}
-	var shards uint32
-	if err := binary.Read(br, binary.LittleEndian, &shards); err != nil {
-		return nil, nil, fmt.Errorf("server: reading replica header: %w", err)
-	}
-	if shards == 0 || shards > 1<<16 {
-		return nil, nil, fmt.Errorf("server: replica snapshot claims %d shards", shards)
-	}
-	lsns := make([]uint64, shards)
-	for i := range lsns {
-		if err := binary.Read(br, binary.LittleEndian, &lsns[i]); err != nil {
-			return nil, nil, fmt.Errorf("server: reading replica cursors: %w", err)
-		}
-	}
-	srv, err := ReadSnapshot(br, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, lsns, nil
-}
-
 // replicaRoutes mounts the primary-side replication endpoints and the
 // follower promotion hook onto NewHandler's mux.
 func replicaRoutes(srv *Server, hc HandlerConfig, handle func(pattern, endpoint string, h http.HandlerFunc)) {
@@ -222,7 +143,7 @@ func replicaRoutes(srv *Server, hc HandlerConfig, handle func(pattern, endpoint 
 	handle("GET /v1/replica/snapshot", "replica_snapshot", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Skewsim-Shard-Count", strconv.Itoa(len(srv.shards)))
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := srv.WriteReplicaSnapshot(w); err != nil {
+		if _, err := srv.WriteSnapshot(w); err != nil {
 			// Bytes are already on the wire; the only honest signal left
 			// is tearing the stream so the follower's parse fails.
 			panic(http.ErrAbortHandler)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestReplicaFeedAndApply(t *testing.T) {
 	assertServersAgree(t, follower, primary, sampleVectors(t, 20, 99))
 }
 
-// TestReplicaSnapshotRoundTrip: bootstrap from the SKREP1 stream plus
+// TestReplicaSnapshotRoundTrip: bootstrap from the snapshot stream plus
 // the feed tail reconstructs the primary exactly, and the returned
 // cursors resume the feed without loss.
 func TestReplicaSnapshotRoundTrip(t *testing.T) {
@@ -131,9 +132,13 @@ func TestReplicaSnapshotRoundTrip(t *testing.T) {
 	if _, err := primary.InsertBatch(sampleVectors(t, 150, 6)); err != nil {
 		t.Fatalf("InsertBatch: %v", err)
 	}
+	cut := make([]uint64, primary.Shards())
+	for i, sh := range primary.shards {
+		cut[i] = sh.AppliedLSN()
+	}
 	var snap bytes.Buffer
-	if _, err := primary.WriteReplicaSnapshot(&snap); err != nil {
-		t.Fatalf("WriteReplicaSnapshot: %v", err)
+	if _, err := primary.WriteSnapshot(&snap); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	// Writes after the cut ride the feed, not the snapshot.
 	ids, err := primary.InsertBatch(sampleVectors(t, 50, 61))
@@ -143,13 +148,13 @@ func TestReplicaSnapshotRoundTrip(t *testing.T) {
 	primary.Delete(ids[0])
 
 	fcfg := durableConfig(t, t.TempDir(), wal.SyncNever)
-	follower, cursors, err := ReadReplicaSnapshot(&snap, fcfg)
+	follower, cursors, err := ReadSnapshot(&snap, fcfg)
 	if err != nil {
-		t.Fatalf("ReadReplicaSnapshot: %v", err)
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
 	defer follower.Close()
-	if len(cursors) != primary.Shards() {
-		t.Fatalf("%d cursors for %d shards", len(cursors), primary.Shards())
+	if !slices.Equal(cursors, cut) {
+		t.Fatalf("cursors %v, want the shards' applied LSNs at the cut %v", cursors, cut)
 	}
 	ts := httptest.NewServer(NewHandler(primary, HandlerConfig{}))
 	defer ts.Close()
@@ -258,7 +263,7 @@ func TestReadOnlyGatingAndPromote(t *testing.T) {
 	}
 }
 
-// TestReplicaSnapshotTruncated: a torn SKREP1 stream must fail the
+// TestReplicaSnapshotTruncated: a torn snapshot stream must fail the
 // parse, never produce a silently short follower.
 func TestReplicaSnapshotTruncated(t *testing.T) {
 	cfg := durableConfig(t, t.TempDir(), wal.SyncNever)
@@ -271,12 +276,12 @@ func TestReplicaSnapshotTruncated(t *testing.T) {
 		t.Fatalf("InsertBatch: %v", err)
 	}
 	var snap bytes.Buffer
-	if _, err := primary.WriteReplicaSnapshot(&snap); err != nil {
-		t.Fatalf("WriteReplicaSnapshot: %v", err)
+	if _, err := primary.WriteSnapshot(&snap); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	torn := snap.Bytes()[:snap.Len()*2/3]
 	fcfg := durableConfig(t, t.TempDir(), wal.SyncNever)
-	_, _, err = ReadReplicaSnapshot(bytes.NewReader(torn), fcfg)
+	_, _, err = ReadSnapshot(bytes.NewReader(torn), fcfg)
 	if err == nil {
 		t.Fatal("truncated replica snapshot parsed without error")
 	}

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"skewsim/internal/bitvec"
+	"skewsim/internal/faultinject"
 	"skewsim/internal/lsf"
 	"skewsim/internal/segment"
 	"skewsim/internal/wal"
@@ -383,19 +384,22 @@ func (s *Server) WaitIdle() {
 }
 
 // Snapshot format: a header plus each shard's segment snapshot, back to
-// back (segment snapshots are self-delimiting).
+// back (segment snapshots are self-delimiting, and each carries its
+// shard's applied LSN — the replication cursor). The same stream is
+// /v1/snapshot's file, -restore's input and a follower's bootstrap.
 //
-//	magic  [6]byte "SKSRV1"
+//	magic  [6]byte "SKSRV2"
 //	shards uint32
 //	next   int64
 //	shards × segment snapshot
-var srvMagic = [6]byte{'S', 'K', 'S', 'R', 'V', '1'}
+var srvMagic = [6]byte{'S', 'K', 'S', 'R', 'V', '2'}
 
 // WriteSnapshot serializes all shards. Shards are snapshotted in
-// sequence, each under its own read lock; for a cut that is globally
-// consistent with respect to writes, pause writers first.
+// sequence, each under its own read lock, and each carries its applied
+// LSN at its own cut; for a cut that is globally consistent with
+// respect to writes, pause writers first. Arming
+// faultinject.ReplicaSnapshotTruncate fails the write after the header.
 func (s *Server) WriteSnapshot(w io.Writer) (int64, error) {
-	var n int64
 	s.mu.Lock()
 	next := s.next
 	s.mu.Unlock()
@@ -403,10 +407,14 @@ func (s *Server) WriteSnapshot(w io.Writer) (int64, error) {
 	hdr = append(hdr, srvMagic[:]...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.shards)))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(next))
-	if _, err := w.Write(hdr); err != nil {
+	m, err := w.Write(hdr)
+	n := int64(m)
+	if err == nil {
+		err = faultinject.Fire(faultinject.ReplicaSnapshotTruncate)
+	}
+	if err != nil {
 		return n, err
 	}
-	n += int64(len(hdr))
 	for i, sh := range s.shards {
 		m, err := sh.WriteSnapshot(w)
 		n += m
@@ -417,41 +425,42 @@ func (s *Server) WriteSnapshot(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// ReadSnapshot reconstructs a Server from a WriteSnapshot stream. cfg
-// must carry the same shard count and segment Params as the writer.
-// With cfg.WALDir set, each restored shard is additionally reconciled
-// with its log tail: records for ids the snapshot already contains are
-// skipped, newer inserts and all surviving deletes re-apply, and the
-// shard journals its future writes to the same log. Snapshot-restored
-// segments have no checkpoint files, so the log is authoritative for
-// anything the snapshot predates.
-func ReadSnapshot(r io.Reader, cfg Config) (*Server, error) {
+// ReadSnapshot reconstructs a Server from a WriteSnapshot stream and
+// returns each shard's applied LSN at its cut: the feed position a
+// follower resumes from. cfg must carry the same shard count and
+// segment Params as the writer. With cfg.WALDir set, each restored
+// shard is additionally reconciled with its log tail: records for ids
+// the snapshot already contains are skipped, newer inserts and all
+// surviving deletes re-apply, and the shard journals its future writes
+// to the same log. Snapshot-restored segments have no checkpoint files,
+// so the log is authoritative for anything the snapshot predates.
+func ReadSnapshot(r io.Reader, cfg Config) (*Server, []uint64, error) {
 	br := bufio.NewReader(r)
 	var magic [6]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("server: reading magic: %w", err)
+		return nil, nil, fmt.Errorf("server: reading magic: %w", err)
 	}
 	if magic != srvMagic {
-		return nil, fmt.Errorf("server: bad magic %q", magic)
+		return nil, nil, fmt.Errorf("server: snapshot magic %q, want %q (older snapshot formats are not readable)", magic, srvMagic)
 	}
 	var shards uint32
 	var next uint64
 	if err := binary.Read(br, binary.LittleEndian, &shards); err != nil {
-		return nil, fmt.Errorf("server: reading header: %w", err)
+		return nil, nil, fmt.Errorf("server: reading header: %w", err)
 	}
 	if err := binary.Read(br, binary.LittleEndian, &next); err != nil {
-		return nil, fmt.Errorf("server: reading header: %w", err)
+		return nil, nil, fmt.Errorf("server: reading header: %w", err)
 	}
 	k := cfg.Shards
 	if k == 0 {
 		k = 4
 	}
 	if int(shards) != k {
-		return nil, fmt.Errorf("server: snapshot has %d shards, config %d", shards, k)
+		return nil, nil, fmt.Errorf("server: snapshot has %d shards, config %d", shards, k)
 	}
 	s := &Server{workers: cfg.Workers, gate: configGate(cfg), metrics: cfg.Metrics, next: int64(next)}
 	if err := s.configure(&cfg); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ok := false
 	defer func() {
@@ -459,20 +468,22 @@ func ReadSnapshot(r io.Reader, cfg Config) (*Server, error) {
 			s.Close()
 		}
 	}()
+	lsns := make([]uint64, k)
 	for i := 0; i < k; i++ {
 		sh, err := segment.ReadSnapshot(br, shardSegConfig(cfg, i))
 		if err != nil {
-			return nil, fmt.Errorf("server: shard %d: %w", i, err)
+			return nil, nil, fmt.Errorf("server: shard %d: %w", i, err)
 		}
 		s.shards = append(s.shards, sh)
+		lsns[i] = sh.AppliedLSN() // the snapshot's; a WAL attach moves it
 		if cfg.WALDir != "" {
 			log, err := wal.Open(shardWALDir(cfg.WALDir, i), cfg.WAL)
 			if err != nil {
-				return nil, fmt.Errorf("server: shard %d: %w", i, err)
+				return nil, nil, fmt.Errorf("server: shard %d: %w", i, err)
 			}
 			if err := sh.RecoverWAL(log); err != nil {
 				log.Close()
-				return nil, fmt.Errorf("server: shard %d: %w", i, err)
+				return nil, nil, fmt.Errorf("server: shard %d: %w", i, err)
 			}
 		}
 	}
@@ -489,5 +500,5 @@ func ReadSnapshot(r io.Reader, cfg Config) (*Server, error) {
 		cfg.Metrics.registerServerGauges(s)
 	}
 	ok = true
-	return s, nil
+	return s, lsns, nil
 }

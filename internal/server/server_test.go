@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -120,6 +121,19 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesOlderFormats: snapshot and bootstrap streams of
+// the earlier formats are refused with an error that names their magic.
+func TestSnapshotRefusesOlderFormats(t *testing.T) {
+	cfg := testConfig(t, 256, 2, 2)
+	for _, magic := range []string{"SKSRV1", "SKREP1"} {
+		old := append([]byte(magic), make([]byte, 64)...)
+		_, _, err := ReadSnapshot(bytes.NewReader(old), cfg)
+		if err == nil || !strings.Contains(err.Error(), magic) {
+			t.Fatalf("%s stream: err %v, want a refusal naming its magic", magic, err)
+		}
+	}
+}
+
 func TestServerSnapshotRoundTrip(t *testing.T) {
 	const n = 300
 	cfg := testConfig(t, n, 3, 3)
@@ -140,7 +154,7 @@ func TestServerSnapshotRoundTrip(t *testing.T) {
 	if _, err := srv.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	restored, err := ReadSnapshot(&buf, cfg)
+	restored, _, err := ReadSnapshot(&buf, cfg)
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
@@ -282,9 +296,11 @@ func TestHTTPEndpoints(t *testing.T) {
 	if fi, _ := f.Stat(); fi.Size() != snap.Bytes || snap.Bytes == 0 {
 		t.Fatalf("snapshot bytes %d, file %d", snap.Bytes, fi.Size())
 	}
-	if _, err := ReadSnapshot(f, cfg); err != nil {
+	restored, _, err := ReadSnapshot(f, cfg)
+	if err != nil {
 		t.Fatalf("snapshot unreadable: %v", err)
 	}
+	restored.Close()
 }
 
 // TestHTTPConcurrentTraffic is the daemon-level race acceptance: mixed

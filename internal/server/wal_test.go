@@ -169,7 +169,7 @@ func TestServerSnapshotPlusTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := ReadSnapshot(sf, cfg)
+	rec, _, err := ReadSnapshot(sf, cfg)
 	sf.Close()
 	if err != nil {
 		t.Fatalf("ReadSnapshot+tail: %v", err)
