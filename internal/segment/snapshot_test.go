@@ -177,6 +177,29 @@ func TestSnapshotRejectsTruncated(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsBadMagic: a genuine snapshot whose magic alone is
+// overwritten — with garbage, or with the magic of the retired lsf
+// bucket dump — is refused at the magic check.
+func TestSnapshotRejectsBadMagic(t *testing.T) {
+	cfg, s := snapshotIndex(t)
+	var buf bytes.Buffer
+	if _, err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	for _, magic := range []string{"NOTANI", "SKLSF1"} {
+		snap := bytes.Clone(buf.Bytes())
+		copy(snap, magic)
+		r, err := ReadSnapshot(bytes.NewReader(snap), cfg)
+		if err == nil {
+			r.Close()
+			t.Fatalf("snapshot with magic %q restored", magic)
+		}
+		if !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("magic %q: err %v, want a magic refusal", magic, err)
+		}
+	}
+}
+
 // TestSnapshotRefusesOlderFormat: a stream in the earlier snapshot
 // format is refused with an error that names its magic.
 func TestSnapshotRefusesOlderFormat(t *testing.T) {
