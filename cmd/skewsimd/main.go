@@ -97,7 +97,9 @@ func byteCount(n int64) string {
 // preloads the warm-start dataset only into a server with no durable
 // history: one that reopened segment files or vectors must not get the
 // dataset a second time, and "recovered but everything was deleted"
-// (live 0, log non-empty) must not resurrect it.
+// (live 0, log non-empty) must not resurrect it. The preload is
+// server.Load: one static-built segment per shard, written as one
+// checkpoint file per shard when the server is durable.
 func openPrimary(cfg server.Config, preload []bitvec.Vector, logger *slog.Logger) (*server.Server, error) {
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -115,16 +117,13 @@ func openPrimary(cfg server.Config, preload []bitvec.Vector, logger *slog.Logger
 		logger.Info("recovered durable state", "wal_dir", cfg.WALDir, "storage_dir", cfg.StorageDir,
 			"live", st.Live, "segments", st.Segments, "wal_records", st.WALRecords, "wal_bytes", byteCount(st.WALBytes))
 	case len(preload) > 0:
-		if _, err := srv.InsertBatch(preload); err != nil {
-			if !server.NotDurableOnly(err) {
-				srv.Close()
-				return nil, fmt.Errorf("preloading: %w", err)
-			}
-			// Applied and journaled; only the fsync is unconfirmed —
-			// the next start would recover the same state anyway.
-			logger.Warn("preload applied but not yet durable", "err", err)
+		// A failed checkpoint write fails the start instead of serving
+		// a corpus that is not durable.
+		if _, err := srv.Load(preload); err != nil {
+			srv.Close()
+			return nil, fmt.Errorf("preloading: %w", err)
 		}
-		logger.Info("preloaded warm-start dataset", "vectors", len(preload))
+		logger.Info("preloaded warm-start dataset", "vectors", len(preload), "segments", srv.Stats().Segments)
 	}
 	return srv, nil
 }

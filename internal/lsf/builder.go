@@ -239,10 +239,31 @@ func (b *Builder) Freeze(data []bitvec.Vector) *Index {
 // reserved: its size is the frozen layout's, set by the bucket count.
 // Call it before the first Add.
 func (b *Builder) Reserve(like *Builder) {
+	b.reserve(len(like.pathSpans), len(like.pathElems), len(like.postings))
+}
+
+// ReserveFor is Reserve sized from a frozen index instead of a builder:
+// ix's buckets, path elements and postings per vector, times vectors —
+// the memtable that follows a bulk load reserves this way, at the
+// loaded segment's densities and its own capacity. The key table is not
+// reserved either: an oversized empty table costs every lookup a cache
+// miss.
+func (b *Builder) ReserveFor(ix *Index, vectors int) {
+	n := len(ix.data)
+	if n == 0 || vectors <= 0 {
+		return
+	}
+	scale := func(k int) int { return int(int64(k) * int64(vectors) / int64(n)) }
+	b.reserve(scale(len(ix.pathSpans)), scale(len(ix.pathElems)), scale(ix.totalFilters))
+}
+
+// reserve grows the arenas for an eighth more than buckets buckets,
+// elems path elements and postings postings.
+func (b *Builder) reserve(buckets, elems, postings int) {
 	room := func(n int) int { return n + n/8 }
-	nb, np := room(len(like.pathSpans)), room(len(like.postings))
+	nb, np := room(buckets), room(postings)
 	b.pathSpans = slices.Grow(b.pathSpans, nb)
-	b.pathElems = slices.Grow(b.pathElems, room(len(like.pathElems)))
+	b.pathElems = slices.Grow(b.pathElems, room(elems))
 	b.postings = slices.Grow(b.postings, np)
 	if b.live {
 		b.head = slices.Grow(b.head, nb)

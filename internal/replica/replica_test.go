@@ -197,3 +197,54 @@ func TestFollowerRestartResumesFromCursors(t *testing.T) {
 	waitCaughtUp(t, rep2, 10*time.Second)
 	assertAgree(t, fsrv2, primary, sampleVectors(t, 20, 78))
 }
+
+// TestFollowerBootstrapsFromLoadedPrimary: a primary whose corpus was
+// bulk-loaded (one segment per shard, no log record behind it) hands a
+// fresh follower all of it through the bootstrap snapshot, the feed
+// carries the writes after the load, and a restarted follower still
+// serves every vector.
+func TestFollowerBootstrapsFromLoadedPrimary(t *testing.T) {
+	const n = 300
+	primary, ts := startPrimary(t, t.TempDir())
+	ids, err := primary.Load(sampleVectors(t, n, 10))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if st := primary.Stats(); st.WALRecords != 0 || st.Segments != primary.Shards() {
+		t.Fatalf("loaded primary %+v, want one segment per shard and no log record", st)
+	}
+	fdir := t.TempDir()
+	cfg := Config{Primary: ts.URL, Server: followerConfig(t, fdir), Interval: 10 * time.Millisecond}
+	fsrv, rep, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if live := fsrv.Stats().Live; live != n {
+		rep.Stop()
+		fsrv.Close()
+		t.Fatalf("bootstrapped follower: Live = %d, want %d", live, n)
+	}
+	rep.Start()
+	if _, err := primary.InsertBatch(sampleVectors(t, 40, 11)); err != nil {
+		t.Fatalf("InsertBatch: %v", err)
+	}
+	for i := 0; i < n; i += 9 {
+		primary.Delete(ids[i])
+	}
+	queries := append(sampleVectors(t, 20, 79), sampleVectors(t, n, 10)[:10]...)
+	waitCaughtUp(t, rep, 10*time.Second)
+	assertAgree(t, fsrv, primary, queries)
+	rep.Stop()
+	fsrv.Close()
+
+	cfg.Server = followerConfig(t, fdir)
+	fsrv2, rep2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer fsrv2.Close()
+	defer rep2.Stop()
+	rep2.Start()
+	waitCaughtUp(t, rep2, 10*time.Second)
+	assertAgree(t, fsrv2, primary, queries)
+}

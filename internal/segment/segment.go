@@ -33,7 +33,7 @@
 //
 // The repetition engines are fixed at construction (typically from
 // core.EngineParams, the paper's SkewSearch scheme; core.Index is this
-// index bulk-loaded, see BulkLoad); the stopping rule's n is the
+// index bulk-loaded, see Load); the stopping rule's n is the
 // expected steady-state size. Re-estimating probabilities as the data
 // drifts is a planned follow-up, not handled here.
 package segment
@@ -303,43 +303,119 @@ func New(cfg Config) (*SegmentedIndex, error) {
 	return s, nil
 }
 
-// BulkLoad builds an index holding vecs under ids 0…n−1 in one frozen
-// segment, by the static build: lsf.BuildIndex per repetition and the
-// segment's bloom filter, as a freeze builds it. Nothing passes through
-// a memtable or the WAL, and the segment is not written to
-// Config.StorageDir. The index retains vecs (not copied) and accepts
-// writes like any other.
+// BulkLoad is New plus Load of vecs under ids 0…n−1: the static build
+// of core.Index. With a storage directory configured, the segment is
+// written there too (see Load).
 func BulkLoad(cfg Config, vecs []bitvec.Vector) (*SegmentedIndex, error) {
-	if len(vecs) >= math.MaxInt32 {
-		return nil, errors.New("segment: slot space exhausted (2^31 inserts)")
-	}
 	s, err := New(cfg)
-	if err != nil || len(vecs) == 0 {
-		return s, err
+	if err != nil {
+		return nil, err
 	}
-	n := len(vecs)
-	seg := &frozenSeg{slots: make([]int32, n), reps: make([]*lsf.Index, len(s.eng.reps))}
+	ids := make([]int64, len(vecs))
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	if err := s.Load(ids, vecs); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// Load fills an empty index with vecs under the caller-chosen ids, in
+// one frozen segment built by the static build: lsf.BuildIndex per
+// repetition and the segment's bloom filter, as a freeze builds them.
+// Nothing passes through a memtable or the WAL. When a storage
+// directory resolves (Config.StorageDir, else the attached WAL's), the
+// segment is written there as a checkpoint file before Load returns; a
+// write error is returned with nothing loaded, since no log record
+// stands behind the vectors and the file is their only durable copy.
+// Load refuses an index that holds a slot or has applied a log record,
+// and repeated ids. The index retains vecs (not copied) and accepts
+// writes like any other afterwards; its first memtable reserves its
+// arenas at the loaded segment's densities.
+func (s *SegmentedIndex) Load(ids []int64, vecs []bitvec.Vector) error {
+	if len(ids) != len(vecs) {
+		return fmt.Errorf("segment: Load got %d ids for %d vectors", len(ids), len(vecs))
+	}
+	if len(vecs) >= math.MaxInt32 {
+		return errors.New("segment: slot space exhausted (2^31 inserts)")
+	}
+	s.mu.RLock()
+	err := s.loadableLocked()
+	s.mu.RUnlock()
+	if err != nil || len(vecs) == 0 {
+		return err
+	}
+	slotOf := make(map[int64]int32, len(ids))
+	for slot, id := range ids {
+		if _, dup := slotOf[id]; dup {
+			return fmt.Errorf("%w: %d repeated in Load", ErrIDTaken, id)
+		}
+		slotOf[id] = int32(slot)
+	}
+	seg := &frozenSeg{slots: make([]int32, len(vecs)), reps: make([]*lsf.Index, len(s.eng.reps))}
 	for r, eng := range s.eng.reps {
 		if seg.reps[r], err = lsf.BuildIndex(eng, vecs); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	seg.bloom = buildSegBloom(seg.reps)
 	seg.arenaBytes = segArenaBytes(seg.reps)
+	mem := newMemtable(s.eng, nil)
+	for r, bl := range mem.reps {
+		bl.ReserveFor(seg.reps[r], s.cfg.MemtableSize)
+	}
+	mem.slots = make([]int32, 0, s.cfg.MemtableSize)
+
+	s.mu.Lock()
+	dir := s.storageDirLocked()
+	if dir != "" {
+		seg.walSeq = s.segSeq
+		s.segSeq++
+	}
+	s.mu.Unlock()
+	if dir != "" {
+		if err := s.persistLoaded(dir, seg, ids, vecs); err != nil {
+			return err
+		}
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.loadableLocked(); err != nil {
+		// A write raced the build: the file must not resurrect this load.
+		removeCkptFile(dir, seg.walSeq)
+		return err
+	}
 	s.vecs = slices.Clip(vecs)
-	s.alive = make([]bool, n)
-	s.ext = make([]int64, n)
-	s.slotOf = make(map[int64]int32, n)
+	s.alive = make([]bool, len(vecs))
+	s.ext = slices.Clone(ids)
+	s.slotOf = slotOf
 	for slot, v := range vecs {
 		seg.slots[slot] = int32(slot)
 		s.packed.Append(v)
 		s.alive[slot] = true
-		s.ext[slot] = int64(slot)
-		s.slotOf[int64(slot)] = int32(slot)
+		if ids[slot] >= s.nextAuto {
+			s.nextAuto = ids[slot] + 1
+		}
 	}
-	s.nextAuto, s.live = int64(n), n
+	s.live = len(vecs)
 	s.segs = []*frozenSeg{seg}
-	return s, nil
+	s.mem = mem
+	if s.needsRetierLocked() {
+		s.wake() // the resident budget demotes the loaded segment
+	}
+	return nil
+}
+
+// loadableLocked reports why Load cannot fill the index: it holds a
+// slot, a tombstone, or an applied log record.
+func (s *SegmentedIndex) loadableLocked() error {
+	if len(s.vecs) > 0 || len(s.deadExt) > 0 || s.appliedLSN > 0 {
+		return errors.New("segment: Load into a non-empty index")
+	}
+	return nil
 }
 
 // wake signals a state change to the worker and to every waiter,

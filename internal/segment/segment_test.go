@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
@@ -622,5 +623,78 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	}
 	if got, _ := searchQuery(bulk, data[k], m, Request{Mode: ModeTopK, K: 2}); len(got.Matches) != 2 || got.Matches[1].ID != n {
 		t.Fatalf("top 2 after the insert: %+v, want ids %d and %d", got.Matches, k, n)
+	}
+
+	// Load under a shard's ids — ascending, with gaps — answers like
+	// InsertBatch of the same vectors under the same ids: the same
+	// candidate sets, and the same best and full top-k rankings, whose
+	// ties go to the lowest id.
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(3*i + 1)
+	}
+	loaded, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if err := loaded.Load(ids, data); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	batched, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batched.Close()
+	if err := batched.InsertBatch(ids, data); err != nil {
+		t.Fatalf("InsertBatch: %v", err)
+	}
+	for k, q := range queries {
+		got, _ := loaded.CandidatesExt(q)
+		want, _ := batched.CandidatesExt(q)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %d: loaded candidates %v, inserted %v", k, got, want)
+		}
+		for _, req := range []Request{{Mode: ModeBest}, {Mode: ModeTopK, K: n}} {
+			got, _ := searchQuery(loaded, q, m, req)
+			want, _ := searchQuery(batched, q, m, req)
+			if got.Found != want.Found || got.Match != want.Match || !slices.Equal(got.Matches, want.Matches) {
+				t.Fatalf("query %d mode %d: loaded %+v, inserted %+v", k, req.Mode, got, want)
+			}
+		}
+	}
+	if st := loaded.Stats(); st.Segments != 1 || st.Memtable != 0 || st.Live != n {
+		t.Fatalf("loaded stats %+v, want %d live vectors in one segment", st, n)
+	}
+	if next := loaded.NextID(); next != ids[n-1]+1 {
+		t.Fatalf("NextID after Load = %d, want %d", next, ids[n-1]+1)
+	}
+
+	// Load refuses a non-empty index (a loaded one, one that only burnt
+	// a dead id) and a repeated id, and loads nothing when it refuses.
+	if err := loaded.Load([]int64{-1}, data[:1]); err == nil {
+		t.Fatal("Load into a loaded index accepted")
+	}
+	burnt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer burnt.Close()
+	burnt.NoteDeadID(5)
+	if err := burnt.Load(ids, data); err == nil {
+		t.Fatal("Load into an index with a tombstone accepted")
+	}
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.Load([]int64{7, 8, 7}, data[:3]); !errors.Is(err, ErrIDTaken) {
+		t.Fatalf("Load with a repeated id: %v, want ErrIDTaken", err)
+	}
+	if st := fresh.Stats(); st.Total != 0 || st.Segments != 0 {
+		t.Fatalf("refused Load left %+v", st)
 	}
 }

@@ -3,10 +3,12 @@ package segment
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
 	"skewsim/internal/bitvec"
+	"skewsim/internal/dataio"
 )
 
 // Snapshot format: a frozen segment travels as the same SKSEG1
@@ -151,7 +153,7 @@ func (s *SegmentedIndex) readSnapshot(br *bufio.Reader) error {
 		if err := binary.Read(br, le, &n); err != nil {
 			return fmt.Errorf("segment: segment %d length: %w", gi, err)
 		}
-		b, err := readN(br, n)
+		b, err := readContainer(br, n)
 		if err != nil {
 			return fmt.Errorf("segment: segment %d: %w", gi, err)
 		}
@@ -198,6 +200,54 @@ func (s *SegmentedIndex) readSnapshot(br *bufio.Reader) error {
 	s.appliedLSN = lsn
 	s.mu.Unlock()
 	return nil
+}
+
+// readContainer reads one n-byte SKSEG1 container into a single buffer
+// of n bytes. Its fixed header and header payload are read first and
+// checked against n — the header checksum, and every section of the
+// table inside the n bytes — so a corrupt length fails before the
+// allocation, not at the end of the stream; parseSegContainer then
+// validates the rest.
+func readContainer(r io.Reader, n uint64) ([]byte, error) {
+	le := binary.LittleEndian
+	if n > 1<<40 {
+		return nil, fmt.Errorf("implausible length %d", n)
+	}
+	if n < segFileFixedHdr+20 {
+		return nil, fmt.Errorf("container of %d bytes is shorter than its header", n)
+	}
+	fixed, err := readN(r, segFileFixedHdr)
+	if err != nil {
+		return nil, err
+	}
+	hdrLen := uint64(le.Uint32(fixed[8:]))
+	if hdrLen < 20 || hdrLen > n-segFileFixedHdr {
+		return nil, fmt.Errorf("header length %d in a container of %d bytes", hdrLen, n)
+	}
+	payload, err := readN(r, hdrLen)
+	if err != nil {
+		return nil, err
+	}
+	if dataio.Checksum(payload) != le.Uint32(fixed[12:]) {
+		return nil, errors.New("container header checksum mismatch")
+	}
+	nsect := uint64(le.Uint32(payload[16:]))
+	if hdrLen != 20+segEntryLen*nsect {
+		return nil, fmt.Errorf("section table of %d entries in a header of %d bytes", nsect, hdrLen)
+	}
+	for i := uint64(0); i < nsect; i++ {
+		e := payload[20+segEntryLen*i:]
+		if off, length := le.Uint64(e[8:]), le.Uint64(e[16:]); off > n || length > n-off {
+			return nil, fmt.Errorf("section %d spans [%d,+%d) outside a container of %d bytes", i, off, length, n)
+		}
+	}
+	b := make([]byte, n)
+	copy(b, fixed)
+	copy(b[segFileFixedHdr:], payload)
+	if _, err := io.ReadFull(r, b[segFileFixedHdr+hdrLen:]); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // readN reads exactly n bytes into one buffer of capacity n, growing it

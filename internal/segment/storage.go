@@ -2,6 +2,7 @@ package segment
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -749,6 +750,29 @@ func closeSegFile(g *frozenSeg) {
 		g.mapping.Close()
 		g.mapping = nil
 	}
+}
+
+// RemoveSegFiles deletes every segment file in dir, and its torn
+// temporaries; a missing dir holds none. It undoes a bulk load that
+// did not complete across a server's shards, before any index opens
+// the directory.
+func RemoveSegFiles(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("segment: %w", err)
+	}
+	for _, e := range ents {
+		name := e.Name()
+		if strings.HasPrefix(name, ckptPrefix) && (strings.HasSuffix(name, ckptSuffix) || strings.HasSuffix(name, ckptSuffix+".tmp")) {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return fmt.Errorf("segment: %w", err)
+			}
+		}
+	}
+	return syncDir(dir)
 }
 
 // Open is New plus a load of the segment files persisted under

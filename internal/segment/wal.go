@@ -305,6 +305,27 @@ func (s *SegmentedIndex) persistFreezeLocked(seg *frozenSeg, rotLSN uint64) {
 	s.wake()
 }
 
+// persistLoaded writes the segment Load built as checkpoint file
+// seg.walSeq in dir, synchronously, and records its path. No checkpoint
+// record follows: no log record stands behind the loaded vectors, so
+// there is nothing to fence.
+func (s *SegmentedIndex) persistLoaded(dir string, seg *frozenSeg, ids []int64, vecs []bitvec.Vector) error {
+	if err := os.MkdirAll(dir, 0o777); err != nil {
+		return fmt.Errorf("segment: %w", err)
+	}
+	t0 := time.Now()
+	dump := segDump{exts: ids, vecs: vecs}
+	path, size, err := writeSegFile(dir, seg.walSeq, dump, seg.reps, seg.bloom, s.cfg.CompressPostings, s.crashHook)
+	if err != nil {
+		return err
+	}
+	if mt := s.cfg.Metrics; mt != nil {
+		mt.observeCheckpoint(time.Since(t0), size)
+	}
+	seg.path = path
+	return nil
+}
+
 // persistCompactionLocked writes the merged segment's file and removes
 // the inputs' files (closing their mappings — the inputs left the
 // visible segment list under the write lock, so no traversal can still

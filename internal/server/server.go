@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -101,6 +102,11 @@ type Server struct {
 	// stay allowed.
 	readOnly atomic.Bool
 
+	// root is where the shards' segment files live (Config.StorageDir,
+	// else WALDir; "" when nothing is durable): a durable Load keeps its
+	// marker there while it runs.
+	root string
+
 	mu   sync.Mutex
 	next int64 // next external id
 }
@@ -118,9 +124,12 @@ func New(cfg Config) (*Server, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("server: Shards %d must be >= 1", cfg.Shards)
 	}
-	s := &Server{workers: cfg.Workers, gate: configGate(cfg), metrics: cfg.Metrics}
+	s := &Server{workers: cfg.Workers, gate: configGate(cfg), metrics: cfg.Metrics, root: storageRoot(cfg)}
 	if err := s.configure(&cfg); err != nil {
 		return nil, err
+	}
+	if err := undoPartialLoad(s.root, k); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	for i := 0; i < k; i++ {
 		sh, err := newShard(cfg, i)
@@ -209,6 +218,68 @@ func shardWALDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%03d", i))
 }
 
+// storageRoot is the directory the shards' segment files live under:
+// each shard's is shardWALDir(storageRoot(cfg), i).
+func storageRoot(cfg Config) string {
+	if cfg.StorageDir != "" {
+		return cfg.StorageDir
+	}
+	return cfg.WALDir
+}
+
+// loadMarker names the file a durable Load keeps under the storage root
+// from before the first shard writes its segment until every shard has.
+const loadMarker = "load-pending"
+
+// undoPartialLoad deletes the segment files of a durable Load that died
+// with its marker still in place. The shards then hold that Load's
+// files and nothing else (no write runs beside a Load), some of them
+// and not others: deleted, the corpus is loaded again whole instead of
+// served in part.
+func undoPartialLoad(root string, shards int) error {
+	if root == "" {
+		return nil
+	}
+	marker := filepath.Join(root, loadMarker)
+	if _, err := os.Stat(marker); errors.Is(err, os.ErrNotExist) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	for i := 0; i < shards; i++ {
+		if err := segment.RemoveSegFiles(shardWALDir(root, i)); err != nil {
+			return err
+		}
+	}
+	return setLoadMarker(root, false)
+}
+
+// setLoadMarker creates or removes the (empty) Load marker under root,
+// durably: the directory is synced before it returns.
+func setLoadMarker(root string, on bool) error {
+	marker := filepath.Join(root, loadMarker)
+	var err error
+	if on {
+		if err = os.MkdirAll(root, 0o777); err == nil {
+			err = os.WriteFile(marker, nil, 0o666)
+		}
+	} else {
+		err = os.Remove(marker)
+	}
+	if err != nil {
+		return err
+	}
+	d, err := os.Open(root)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // Close stops every shard's background worker.
 func (s *Server) Close() {
 	for _, sh := range s.shards {
@@ -262,6 +333,44 @@ func (s *Server) Insert(v bitvec.Vector) (int64, error) {
 // attached, one group-committed append and a single fsync wait per
 // shard instead of one per vector. Returns the ids in input order.
 func (s *Server) InsertBatch(vs []bitvec.Vector) ([]int64, error) {
+	return s.perShard(vs, (*segment.SegmentedIndex).InsertBatch)
+}
+
+// Load bulk-loads vs into a server whose shards are all empty: ids are
+// assigned and partitioned exactly as InsertBatch does (a fresh
+// server's are 0…n−1 in input order), and each shard static-builds its
+// share into one frozen segment (segment.Load), the shards in parallel.
+// With durable storage every shard has written its segment as a
+// checkpoint file when Load returns, and no log record is appended. A
+// marker file under the storage root makes that all or nothing: if Load
+// fails or the process dies before every shard has written its file,
+// the next New over the same directories deletes the files that were
+// written. No write may run beside a Load. Returns the ids in input
+// order.
+func (s *Server) Load(vs []bitvec.Vector) ([]int64, error) {
+	for i, sh := range s.shards {
+		if st := sh.Stats(); st.Total > 0 || sh.AppliedLSN() > 0 {
+			return nil, fmt.Errorf("server: Load into non-empty shard %d", i)
+		}
+	}
+	if s.root != "" {
+		if err := setLoadMarker(s.root, true); err != nil {
+			return nil, fmt.Errorf("server: load marker: %w", err)
+		}
+	}
+	ids, err := s.perShard(vs, (*segment.SegmentedIndex).Load)
+	if err == nil && s.root != "" {
+		if err = setLoadMarker(s.root, false); err != nil {
+			err = fmt.Errorf("server: load marker: %w", err)
+		}
+	}
+	return ids, err
+}
+
+// perShard assigns the next len(vs) ids, partitions them by shard, and
+// runs apply on every shard's part (ids ascending) over the bounded
+// worker pool.
+func (s *Server) perShard(vs []bitvec.Vector, apply func(*segment.SegmentedIndex, []int64, []bitvec.Vector) error) ([]int64, error) {
 	if len(vs) == 0 {
 		return nil, nil
 	}
@@ -289,7 +398,7 @@ func (s *Server) InsertBatch(vs []bitvec.Vector) ([]int64, error) {
 		for j, i := range idxs {
 			bids[j], bvs[j] = ids[i], vs[i]
 		}
-		errs[sh] = s.shards[sh].InsertBatch(bids, bvs)
+		errs[sh] = apply(s.shards[sh], bids, bvs)
 	})
 	return ids, errors.Join(errs...)
 }

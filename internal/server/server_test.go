@@ -406,3 +406,73 @@ func TestWorkerClampShardFanout(t *testing.T) {
 		t.Fatal("planted query found nothing")
 	}
 }
+
+// TestLoadMatchesInsertBatch: at 1, 2 and 4 shards, Load hands out the
+// ids InsertBatch would (0…n−1 in input order), leaves each shard one
+// segment and an empty memtable, and answers like InsertBatch of the
+// same vectors: per shard the same candidate sets, through Search the
+// same best match and the same full top-k ranking, ties to the lowest
+// id. Load refuses a server that holds anything.
+func TestLoadMatchesInsertBatch(t *testing.T) {
+	const n = 400
+	data := testData(n)
+	queries := append(testData(60), data[:20]...)
+	m := bitvec.BraunBlanquetMeasure
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := testConfig(t, n, 3, shards)
+			loaded, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			ids, err := loaded.Load(data)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			for i, id := range ids {
+				if id != int64(i) {
+					t.Fatalf("ids[%d] = %d, want %d", i, id, i)
+				}
+			}
+			inserted, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer inserted.Close()
+			if _, err := inserted.InsertBatch(data); err != nil {
+				t.Fatalf("InsertBatch: %v", err)
+			}
+			inserted.WaitIdle()
+			for i, ps := range loaded.Stats().PerShard {
+				if ps.Segments != 1 || ps.Memtable != 0 || ps.Flushing != 0 {
+					t.Fatalf("shard %d after Load: %+v, want one segment and an empty memtable", i, ps)
+				}
+			}
+			for k, q := range queries {
+				for i := range loaded.shards {
+					got, _ := loaded.shards[i].CandidatesExt(q)
+					want, _ := inserted.shards[i].CandidatesExt(q)
+					slices.Sort(got)
+					slices.Sort(want)
+					if !slices.Equal(got, want) {
+						t.Fatalf("query %d shard %d: loaded candidates %v, inserted %v", k, i, got, want)
+					}
+				}
+				for _, req := range []Request{{Mode: segment.ModeBest}, {Mode: segment.ModeTopK, K: n}} {
+					got, _ := searchOne(loaded, q, m, req)
+					want, _ := searchOne(inserted, q, m, req)
+					if got.Found != want.Found || got.Match != want.Match || !slices.Equal(got.Matches, want.Matches) {
+						t.Fatalf("query %d mode %d: loaded %+v, inserted %+v", k, req.Mode, got, want)
+					}
+				}
+			}
+			if _, err := loaded.Load(data[:1]); err == nil {
+				t.Fatal("Load into a loaded server accepted")
+			}
+			if _, err := inserted.Load(data[:1]); err == nil {
+				t.Fatal("Load into a server with inserts accepted")
+			}
+		})
+	}
+}
