@@ -69,9 +69,10 @@ race:
 # shed with 429/503 instead of growing goroutines, and the replication
 # faults (stalled feed, mid-stream disconnect, torn bootstrap snapshot,
 # SIGKILLed primary) must all end in a follower bit-identical to the
-# surviving state.
+# surviving state; and a preload whose checkpoint write fails must fail
+# the daemon's start, then load whole on the next.
 test-fault:
-	$(GO) test -race -run 'Fault' ./internal/faultinject ./internal/segment ./internal/server ./internal/replica
+	$(GO) test -race -run 'Fault' ./internal/faultinject ./internal/segment ./internal/server ./internal/replica ./cmd/skewsimd
 
 # The observability acceptance run: the metrics core under the race
 # detector (concurrent registration + observation, exposition golden

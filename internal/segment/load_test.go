@@ -70,8 +70,8 @@ func TestStorageLoadCheckpoint(t *testing.T) {
 	data, queries := storageData(t)
 	ids := loadedIDs(len(data))
 	for _, tc := range []struct {
-		name             string
-		storage, walDirs bool
+		name          string
+		storage, logs bool
 	}{
 		{"storage", true, false},
 		{"wal+storage", true, true},
@@ -83,7 +83,7 @@ func TestStorageLoadCheckpoint(t *testing.T) {
 			if tc.storage {
 				cfg.StorageDir = t.TempDir()
 			}
-			if tc.walDirs {
+			if tc.logs {
 				walDir = t.TempDir()
 			}
 			segDir := cfg.StorageDir

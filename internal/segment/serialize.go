@@ -204,10 +204,10 @@ func (s *SegmentedIndex) readSnapshot(br *bufio.Reader) error {
 
 // readContainer reads one n-byte SKSEG1 container into a single buffer
 // of n bytes. Its fixed header and header payload are read first and
-// checked against n — the header checksum, and every section of the
-// table inside the n bytes — so a corrupt length fails before the
-// allocation, not at the end of the stream; parseSegContainer then
-// validates the rest.
+// checked against n — the header checksum, and a section table whose
+// last section ends exactly at byte n, as a writer leaves it — so a
+// corrupt length fails before the allocation, not at the end of the
+// stream; parseSegContainer then validates the rest.
 func readContainer(r io.Reader, n uint64) ([]byte, error) {
 	le := binary.LittleEndian
 	if n > 1<<40 {
@@ -235,11 +235,17 @@ func readContainer(r io.Reader, n uint64) ([]byte, error) {
 	if hdrLen != 20+segEntryLen*nsect {
 		return nil, fmt.Errorf("section table of %d entries in a header of %d bytes", nsect, hdrLen)
 	}
+	end := segFileFixedHdr + hdrLen
 	for i := uint64(0); i < nsect; i++ {
 		e := payload[20+segEntryLen*i:]
-		if off, length := le.Uint64(e[8:]), le.Uint64(e[16:]); off > n || length > n-off {
+		off, length := le.Uint64(e[8:]), le.Uint64(e[16:])
+		if off > n || length > n-off {
 			return nil, fmt.Errorf("section %d spans [%d,+%d) outside a container of %d bytes", i, off, length, n)
 		}
+		end = max(end, off+length)
+	}
+	if end != n {
+		return nil, fmt.Errorf("sections end at byte %d of a container of %d bytes", end, n)
 	}
 	b := make([]byte, n)
 	copy(b, fixed)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -250,4 +251,34 @@ func FuzzReadSnapshot(f *testing.F) {
 			t.Fatalf("snapshot not stable: %d vs %d bytes", a.Len(), b.Len())
 		}
 	})
+}
+
+// TestSnapshotRejectsWrongContainerLength: a container length prefix
+// that disagrees with the container's own checksummed header — a few
+// bytes off either way, or a huge one — is refused, and the huge one
+// before its buffer is allocated.
+func TestSnapshotRejectsWrongContainerLength(t *testing.T) {
+	cfg, s := snapshotIndex(t)
+	var buf bytes.Buffer
+	if _, err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	at := bytes.Index(buf.Bytes(), snapshotContainers(buf.Bytes())[0]) - 8 // its length prefix
+	le := binary.LittleEndian
+	genuine := le.Uint64(buf.Bytes()[at:])
+	for _, n := range []uint64{genuine - 8, genuine + 8, 1 << 39} {
+		snap := bytes.Clone(buf.Bytes())
+		le.PutUint64(snap[at:], n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := ReadSnapshot(bytes.NewReader(snap), cfg)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			r.Close()
+			t.Fatalf("container length %d (genuine %d) restored", n, genuine)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Fatalf("container length %d: %d bytes allocated before the refusal", n, grew)
+		}
+	}
 }
