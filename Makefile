@@ -112,17 +112,16 @@ test-storage:
 # mutation on top of the checked-in seeds. The two segment targets seed
 # with a genuine ~10 KB container or snapshot, which the default 60 s
 # minimization of each new input would spend the whole smoke shrinking
-# (0 execs/s); FUZZMINTIME bounds it so they keep executing.
+# (0 execs/s); -fuzzminimizetime 1s bounds it so they keep executing.
 FUZZTIME ?= 10s
-FUZZMINTIME ?= 1s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/dataio
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/lsf
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz '^FuzzIntersectKernel$$' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz '^FuzzPostingCodec$$' -fuzztime $(FUZZTIME) ./internal/lsf
-	$(GO) test -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segment
-	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segment
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentHeader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/segment
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/segment
 
 # Smoke-run the micro-benchmarks: one iteration each, with allocation
 # counters, so CI catches benchmarks that stop compiling or crash

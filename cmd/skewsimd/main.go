@@ -97,23 +97,18 @@ func byteCount(n int64) string {
 // preloads the warm-start dataset only into a server with no durable
 // history: one that reopened segment files or vectors must not get the
 // dataset a second time, and "recovered but everything was deleted"
-// (live 0, log non-empty) must not resurrect it. The preload is
-// server.Load: one static-built segment per shard, written as one
-// checkpoint file per shard when the server is durable.
+// (live 0, a log record or a tombstone left) must not resurrect it:
+// the server has durable history exactly when server.Load would refuse
+// it. The preload is server.Load: one static-built segment per shard,
+// written as one checkpoint file per shard when the server is durable.
 func openPrimary(cfg server.Config, preload []bitvec.Vector, logger *slog.Logger) (*server.Server, error) {
 	srv, err := server.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("building server: %w", err)
 	}
 	st := srv.Stats()
-	recovered := st.Total > 0
-	for _, ps := range st.PerShard {
-		if ps.WAL != nil && ps.WAL.LastLSN > 0 {
-			recovered = true
-		}
-	}
 	switch {
-	case recovered:
+	case srv.Loadable() != nil:
 		logger.Info("recovered durable state", "wal_dir", cfg.WALDir, "storage_dir", cfg.StorageDir,
 			"live", st.Live, "segments", st.Segments, "wal_records", st.WALRecords, "wal_bytes", byteCount(st.WALBytes))
 	case len(preload) > 0:

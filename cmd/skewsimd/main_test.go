@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -120,6 +121,9 @@ func TestFaultPreloadCheckpointWrite(t *testing.T) {
 		}
 		t.Fatalf("start with a failing preload checkpoint: %v, want the injected error", err)
 	}
+	if left := loadLeftovers(cfg.StorageDir); len(left) > 0 {
+		t.Fatalf("the failed preload left %v behind", left)
+	}
 	if live := startLive(t, cfg, preload); live != preloadN {
 		t.Fatalf("start after the fault cleared: Live = %d, want %d", live, preloadN)
 	}
@@ -148,11 +152,19 @@ func TestPreloadCrashHelper(t *testing.T) {
 	openPrimary(cfg, preload, quiet)
 }
 
-// TestPreloadCrashRestartsOnce: a daemon killed after one shard's
-// preload checkpoint landed and before the other's leaves a partial
-// corpus on disk; the restart must not serve it, but preload the corpus
-// whole, exactly once.
-func TestPreloadCrashRestartsOnce(t *testing.T) {
+// loadLeftovers lists the load marker and the segment files under a
+// storage root.
+func loadLeftovers(root string) []string {
+	left, _ := filepath.Glob(filepath.Join(root, "load-pending"))
+	files, _ := filepath.Glob(filepath.Join(root, "shard-*", "ckpt-*"))
+	return append(left, files...)
+}
+
+// crashPreload runs TestPreloadCrashHelper over a fresh directory and
+// returns it once the helper has been SIGKILLed with shard 0's preload
+// checkpoint on disk and shard 1's not.
+func crashPreload(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
@@ -172,11 +184,63 @@ func TestPreloadCrashRestartsOnce(t *testing.T) {
 	if files, _ := filepath.Glob(filepath.Join(dir, "seg", "shard-000", "ckpt-*.seg")); len(files) != 1 {
 		t.Fatalf("shard 0 holds checkpoint files %v before the restart, want its preload's", files)
 	}
+	return dir
+}
+
+// TestPreloadCrashRestartsOnce: a daemon killed after one shard's
+// preload checkpoint landed and before the other's leaves a partial
+// corpus on disk; the restart must not serve it, but preload the corpus
+// whole, exactly once.
+func TestPreloadCrashRestartsOnce(t *testing.T) {
+	dir := crashPreload(t)
 	cfg, preload := preloadSetup(t, filepath.Join(dir, "seg"), filepath.Join(dir, "wal"))
 	if live := startLive(t, cfg, preload); live != preloadN {
 		t.Fatalf("restart after a crash mid-preload: Live = %d, want %d", live, preloadN)
 	}
 	if live := startLive(t, cfg, preload); live != preloadN {
 		t.Fatalf("second restart: Live = %d, want %d", live, preloadN)
+	}
+}
+
+// TestPreloadCrashThenRestore: -restore with -wal-dir over the
+// directories of a daemon killed mid-preload must not serve the partial
+// corpus, and must not leave the load marker behind for a later start
+// to act on: the vectors inserted and checkpointed after the restore
+// survive the next restart.
+func TestPreloadCrashThenRestore(t *testing.T) {
+	dir := crashPreload(t)
+	cfg, preload := preloadSetup(t, filepath.Join(dir, "seg"), filepath.Join(dir, "wal"))
+	empty, err := server.New(server.Config{Shards: cfg.Shards, Segment: cfg.Segment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	_, err = empty.WriteSnapshot(&snap)
+	empty.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _, err := server.ReadSnapshot(&snap, cfg)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if live := srv.Stats().Live; live != 0 {
+		srv.Close()
+		t.Fatalf("restore of an empty snapshot: Live = %d, want 0 (partial preload served)", live)
+	}
+	const n = 200
+	if _, err := srv.InsertBatch(preload[:n]); err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	srv.Flush()
+	srv.WaitIdle()
+	st := srv.Stats()
+	srv.Close()
+	if st.Freezes == 0 {
+		t.Fatalf("after the restore: %+v, want the inserts frozen into checkpoint files", st)
+	}
+	if live := startLive(t, cfg, preload); live != n {
+		t.Fatalf("restart after the restore: Live = %d, want the %d vectors inserted after it", live, n)
 	}
 }

@@ -341,9 +341,7 @@ func (s *SegmentedIndex) Load(ids []int64, vecs []bitvec.Vector) error {
 	if len(vecs) >= math.MaxInt32 {
 		return errors.New("segment: slot space exhausted (2^31 inserts)")
 	}
-	s.mu.RLock()
-	err := s.loadableLocked()
-	s.mu.RUnlock()
+	err := s.Loadable()
 	if err != nil || len(vecs) == 0 {
 		return err
 	}
@@ -409,8 +407,14 @@ func (s *SegmentedIndex) Load(ids []int64, vecs []bitvec.Vector) error {
 	return nil
 }
 
-// loadableLocked reports why Load cannot fill the index: it holds a
-// slot, a tombstone, or an applied log record.
+// Loadable reports why Load would refuse the index, nil if it would
+// not: the index holds a slot, a tombstone, or an applied log record.
+func (s *SegmentedIndex) Loadable() error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.loadableLocked()
+}
+
 func (s *SegmentedIndex) loadableLocked() error {
 	if len(s.vecs) > 0 || len(s.deadExt) > 0 || s.appliedLSN > 0 {
 		return errors.New("segment: Load into a non-empty index")

@@ -231,21 +231,26 @@ func storageRoot(cfg Config) string {
 // from before the first shard writes its segment until every shard has.
 const loadMarker = "load-pending"
 
-// undoPartialLoad deletes the segment files of a durable Load that died
-// with its marker still in place. The shards then hold that Load's
-// files and nothing else (no write runs beside a Load), some of them
-// and not others: deleted, the corpus is loaded again whole instead of
-// served in part.
+// undoPartialLoad runs removeLoad for a durable Load that died with its
+// marker still in place, before any shard opens its directory: the
+// corpus is then loaded again whole instead of served in part.
 func undoPartialLoad(root string, shards int) error {
 	if root == "" {
 		return nil
 	}
-	marker := filepath.Join(root, loadMarker)
-	if _, err := os.Stat(marker); errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(root, loadMarker)); errors.Is(err, os.ErrNotExist) {
 		return nil
 	} else if err != nil {
 		return err
 	}
+	return removeLoad(root, shards)
+}
+
+// removeLoad deletes every shard's segment files, then the marker. The
+// shards hold a Load's files and nothing else: Load runs only on shards
+// Loadable calls empty, no write runs beside it, and a Load that fails
+// closes the server before calling removeLoad.
+func removeLoad(root string, shards int) error {
 	for i := 0; i < shards; i++ {
 		if err := segment.RemoveSegFiles(shardWALDir(root, i)); err != nil {
 			return err
@@ -255,7 +260,8 @@ func undoPartialLoad(root string, shards int) error {
 }
 
 // setLoadMarker creates or removes the (empty) Load marker under root,
-// durably: the directory is synced before it returns.
+// durably: the directory is synced before it returns. Removing a
+// missing marker is not an error.
 func setLoadMarker(root string, on bool) error {
 	marker := filepath.Join(root, loadMarker)
 	var err error
@@ -263,8 +269,8 @@ func setLoadMarker(root string, on bool) error {
 		if err = os.MkdirAll(root, 0o777); err == nil {
 			err = os.WriteFile(marker, nil, 0o666)
 		}
-	} else {
-		err = os.Remove(marker)
+	} else if err = os.Remove(marker); errors.Is(err, os.ErrNotExist) {
+		err = nil
 	}
 	if err != nil {
 		return err
@@ -342,29 +348,46 @@ func (s *Server) InsertBatch(vs []bitvec.Vector) ([]int64, error) {
 // share into one frozen segment (segment.Load), the shards in parallel.
 // With durable storage every shard has written its segment as a
 // checkpoint file when Load returns, and no log record is appended. A
-// marker file under the storage root makes that all or nothing: if Load
-// fails or the process dies before every shard has written its file,
-// the next New over the same directories deletes the files that were
-// written. No write may run beside a Load. Returns the ids in input
-// order.
+// marker file under the storage root makes that all or nothing. If a
+// durable Load fails, it closes the server, so that nothing more lands
+// in the shards' directories, and deletes the files it wrote and the
+// marker; if the process dies first, or the deletion fails, the next
+// New or ReadSnapshot over the same directories deletes them. No write
+// may run beside a Load. Returns the ids in input order.
 func (s *Server) Load(vs []bitvec.Vector) ([]int64, error) {
+	if err := s.Loadable(); err != nil {
+		return nil, err
+	}
+	if s.root == "" {
+		return s.perShard(vs, (*segment.SegmentedIndex).Load)
+	}
+	err := setLoadMarker(s.root, true)
+	var ids []int64
+	if err == nil {
+		ids, err = s.perShard(vs, (*segment.SegmentedIndex).Load)
+	}
+	if err == nil {
+		if err = setLoadMarker(s.root, false); err == nil {
+			return ids, nil
+		}
+	}
+	s.Close()
+	if rerr := removeLoad(s.root, len(s.shards)); rerr != nil {
+		err = errors.Join(err, fmt.Errorf("undoing the load: %w", rerr))
+	}
+	return nil, fmt.Errorf("server: Load: %w", err)
+}
+
+// Loadable reports why Load would refuse the server, nil if it would
+// not: some shard holds a slot, a tombstone, or an applied log record
+// (segment.Loadable).
+func (s *Server) Loadable() error {
 	for i, sh := range s.shards {
-		if st := sh.Stats(); st.Total > 0 || sh.AppliedLSN() > 0 {
-			return nil, fmt.Errorf("server: Load into non-empty shard %d", i)
+		if err := sh.Loadable(); err != nil {
+			return fmt.Errorf("server: shard %d: %w", i, err)
 		}
 	}
-	if s.root != "" {
-		if err := setLoadMarker(s.root, true); err != nil {
-			return nil, fmt.Errorf("server: load marker: %w", err)
-		}
-	}
-	ids, err := s.perShard(vs, (*segment.SegmentedIndex).Load)
-	if err == nil && s.root != "" {
-		if err = setLoadMarker(s.root, false); err != nil {
-			err = fmt.Errorf("server: load marker: %w", err)
-		}
-	}
-	return ids, err
+	return nil
 }
 
 // perShard assigns the next len(vs) ids, partitions them by shard, and
@@ -542,7 +565,8 @@ func (s *Server) WriteSnapshot(w io.Writer) (int64, error) {
 // the snapshot already contains are skipped, newer inserts and all
 // surviving deletes re-apply, and the shard journals its future writes
 // to the same log. Snapshot-restored segments have no checkpoint files,
-// so the log is authoritative for anything the snapshot predates.
+// so the log is authoritative for anything the snapshot predates. Like
+// New, it first deletes the files of a durable Load that died part-way.
 func ReadSnapshot(r io.Reader, cfg Config) (*Server, []uint64, error) {
 	br := bufio.NewReader(r)
 	var magic [6]byte
@@ -567,9 +591,12 @@ func ReadSnapshot(r io.Reader, cfg Config) (*Server, []uint64, error) {
 	if int(shards) != k {
 		return nil, nil, fmt.Errorf("server: snapshot has %d shards, config %d", shards, k)
 	}
-	s := &Server{workers: cfg.Workers, gate: configGate(cfg), metrics: cfg.Metrics, next: int64(next)}
+	s := &Server{workers: cfg.Workers, gate: configGate(cfg), metrics: cfg.Metrics, root: storageRoot(cfg), next: int64(next)}
 	if err := s.configure(&cfg); err != nil {
 		return nil, nil, err
+	}
+	if err := undoPartialLoad(s.root, k); err != nil {
+		return nil, nil, fmt.Errorf("server: %w", err)
 	}
 	ok := false
 	defer func() {

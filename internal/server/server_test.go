@@ -18,6 +18,7 @@ import (
 	"skewsim/internal/dist"
 	"skewsim/internal/hashing"
 	"skewsim/internal/segment"
+	"skewsim/internal/wal"
 )
 
 func testConfig(t testing.TB, n, reps, shards int) Config {
@@ -474,5 +475,29 @@ func TestLoadMatchesInsertBatch(t *testing.T) {
 				t.Fatal("Load into a server with inserts accepted")
 			}
 		})
+	}
+}
+
+// TestLoadRefusesTombstone: a durable server whose only state is a
+// tombstone (a replicated delete of an unknown id) is not empty, so
+// Load refuses it before writing its marker or any segment file.
+func TestLoadRefusesTombstone(t *testing.T) {
+	cfg := testConfig(t, 100, 2, 2)
+	cfg.StorageDir = t.TempDir()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.ApplyReplicated(0, []wal.Record{{Op: wal.OpDelete, ID: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Load(testData(100)); err == nil {
+		t.Fatal("Load into a server holding a tombstone accepted")
+	}
+	left, _ := filepath.Glob(filepath.Join(cfg.StorageDir, loadMarker))
+	files, _ := filepath.Glob(filepath.Join(cfg.StorageDir, "shard-*", "ckpt-*"))
+	if left = append(left, files...); len(left) > 0 {
+		t.Fatalf("refused Load left %v behind", left)
 	}
 }
