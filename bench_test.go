@@ -161,6 +161,10 @@ func benchWorkload(b *testing.B, n int) (*dist.Product, *datagen.CorrelatedWorkl
 	return d, w
 }
 
+// BenchmarkBuildSkewSearch builds the dense-best shard's index (1 000
+// Fig. 1 vectors, 4 repetitions) and reports B/bucket: the resident
+// arena bytes of one repetition's frozen index per bucket, the static
+// bytes-per-bucket figure the memory layout is tracked by.
 func BenchmarkBuildSkewSearch(b *testing.B) {
 	d, w := benchWorkload(b, 1000)
 	b.ResetTimer()
@@ -169,6 +173,20 @@ func BenchmarkBuildSkewSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	params, err := core.EngineParams(core.Correlated, d, len(w.Data), 2.0/3, core.Options{Seed: 1, Repetitions: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := lsf.NewEngine(len(w.Data), params[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := lsf.BuildIndex(eng, w.Data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(ix.ResidentBytes())/float64(ix.Stats().Buckets), "B/bucket")
 }
 
 func BenchmarkBuildChosenPath(b *testing.B) {

@@ -1,6 +1,7 @@
 package lsf
 
 import (
+	"slices"
 	"testing"
 
 	"skewsim/internal/bitvec"
@@ -9,19 +10,16 @@ import (
 )
 
 // referenceStats recomputes one query's stats the way the pre-refactor
-// traversal did — fresh map dedup, string path keys — as an independent
-// check that the shared traversal preserved QueryStats semantics
-// (Filters / Candidates / Distinct / Truncated) exactly.
+// traversal did — fresh map dedup, a plain map from key to bucket — as
+// an independent check that the shared traversal preserved QueryStats
+// semantics (Filters / Candidates / Distinct / Truncated) exactly.
 func referenceStats(ix *Index, q bitvec.Vector) QueryStats {
 	fs := ix.engine.Filters(q)
 	stats := QueryStats{Filters: len(fs.Paths), Truncated: fs.Truncated}
-	byKey := make(map[string][]int32)
-	for b := range ix.pathSpans {
-		byKey[PathKey(ix.bucketPath(int32(b)))] = ix.bucketIDs(int32(b))
-	}
+	byKey := bucketSnapshot(ix)
 	seen := make(map[int32]struct{})
 	for _, p := range fs.Paths {
-		for _, id := range byKey[PathKey(p)] {
+		for _, id := range byKey[HashPath(p)] {
 			stats.Candidates++
 			if _, dup := seen[id]; dup {
 				continue
@@ -140,38 +138,37 @@ func TestVisitedEpochWraparound(t *testing.T) {
 }
 
 // TestBucketCollisionChaining simulates two distinct paths landing on the
-// same 64-bit key: the builder's open-addressing table and the frozen
-// index's (the same table, handed over) must keep their posting lists
-// separate, for both incremental inserts and post-freeze lookups.
+// same 64-bit key: the key is the bucket, so the builder and the frozen
+// index (the same table, handed over) hold one bucket with both paths'
+// postings, in insertion order — extra candidates that verification
+// rejects, never a lost one.
 func TestBucketCollisionChaining(t *testing.T) {
 	e, data := fig1TestEngine(t, 10)
 	pathA := []uint32{1, 2, 3}
-	pathB := []uint32{7, 8} // any other path; we force the collision below
 	hA := HashPath(pathA)
+	want := []int32{5, 1, 2}
 
 	for _, live := range []bool{false, true} {
-		// Plant B's bucket under A's key, as if HashPath had collided.
+		// Plant path B's posting under A's key, as if HashPath had
+		// collided, then A's own postings.
 		bld := newBuilder(e, live)
-		bld.AddBucket(hA, pathB, []int32{5})
-		// Inserting A must probe past B's slot (same key, different path)
-		// and open a fresh bucket instead of contaminating B's ids.
-		bld.AddBucket(hA, pathA, []int32{1})
-		bld.AddBucket(hA, pathA, []int32{2})
-		if got := len(bld.pathSpans); got != 2 {
-			t.Fatalf("live=%v: builder bucket count = %d, want 2", live, got)
+		bld.AddBucket(hA, []int32{5})
+		bld.AddBucket(hA, []int32{1})
+		bld.Add(hA, 2)
+		if bld.buckets != 1 {
+			t.Fatalf("live=%v: builder bucket count = %d, want 1", live, bld.buckets)
+		}
+		if live {
+			if got := liveIDs(bld, hA); !slices.Equal(got, want) {
+				t.Fatalf("live lookup = %v, want %v", got, want)
+			}
 		}
 		ix := bld.Freeze(data)
-		// The frozen probe for A must step past B's slot and land on A's
-		// bucket; B stays reachable under the key it was stored with.
-		if ids := ix.postings(pathA); len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-			t.Fatalf("live=%v: postings(A) = %v, want [1 2]", live, ids)
+		if ids := ix.postings(pathA); !slices.Equal(ids, want) {
+			t.Fatalf("live=%v: postings(A) = %v, want %v", live, ids, want)
 		}
-		r, ok := ix.PathRefHash(hA, pathB)
-		if ids := ix.RefIDs(r); !ok || len(ids) != 1 || ids[0] != 5 {
-			t.Fatalf("live=%v: collided bucket B = %v (found %v), want [5]", live, ids, ok)
-		}
-		if got := len(ix.pathSpans); got != 2 {
-			t.Fatalf("live=%v: bucket count = %d, want 2", live, got)
+		if st := ix.Stats(); st.Buckets != 1 || st.TotalFilters != 3 {
+			t.Fatalf("live=%v: stats %+v, want 1 bucket of 3 postings", live, st)
 		}
 	}
 }

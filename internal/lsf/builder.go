@@ -16,20 +16,23 @@ type posting struct {
 
 // Builder accumulates index construction in the frozen layout's own
 // arenas: the open-addressing key table (linear probing, kept at load
-// ≤ 1/2 by doubling, so it already is the final table), the path arena,
-// and a flat posting log. Everything is a handful of large pointer-free
-// slices; Freeze counting-sorts the log into CSR form and hands the
-// table and path arenas over as they are — nothing is re-hashed.
-// Buckets are numbered in first-sight order, so identical input
-// sequences freeze to identical indexes.
+// ≤ 1/2 by doubling, so it already is the final table) and a flat
+// posting log. Everything is a handful of large pointer-free slices;
+// Freeze counting-sorts the log into CSR form and hands the table over
+// as it is — nothing is re-hashed. Buckets are numbered in first-sight
+// order, so identical input sequences freeze to identical indexes.
+//
+// A bucket is its 64-bit key: HashPath of the path, or whatever key the
+// caller probes the frozen index with (PathRefHash never re-hashes).
+// Two paths under one key share a bucket, which can only add
+// candidates — exact verification rejects them — and at 64 bits it
+// practically never happens. No path is stored.
 //
 // BuildIndex computes F(x) per vector and is the entry point when only
 // the data is known. The segment layer's memtable and compaction
-// produce postings themselves and feed (key, path, id) straight in, so
-// freezing a memtable or merging two frozen segments never recomputes a
-// filter or re-hashes a path. Keys are HashPath of the path (or
-// whatever key the caller probes the frozen index with — PathRefHash
-// never re-hashes). Paths may repeat; postings for a repeated path
+// produce keys themselves and feed (key, id) straight in, so freezing a
+// memtable or merging two frozen segments never recomputes a filter or
+// re-hashes a path. Keys may repeat; postings for a repeated key
 // concatenate in call order. Ids must index into the data passed to
 // Freeze. Each posting counts toward TotalFilters, preserving the
 // Σ_x |F(x)| identity.
@@ -39,11 +42,10 @@ type posting struct {
 // so it can answer Lookup while it grows. Static builds skip the links.
 type Builder struct {
 	engine    *Engine
-	tableKeys []uint64 // path hash per slot (valid where tableIdx >= 0)
+	tableKeys []uint64 // bucket key per slot (valid where tableIdx >= 0)
 	tableIdx  []int32  // bucket number per slot; -1 = empty
 	tableMask uint64   // len(tableIdx) is a power of two
-	pathSpans []Span
-	pathElems []uint32
+	buckets   int
 	postings  []posting
 
 	live bool
@@ -94,47 +96,34 @@ func (b *Builder) resizeTable(size int) {
 	b.tableKeys, b.tableIdx, b.tableMask = keys, idx, mask
 }
 
-// find returns the bucket of path (whose key is h), or -1 and the empty
-// slot the bucket would take.
-func (b *Builder) find(h uint64, path []uint32) (int32, uint64) {
+// find returns the bucket of key h, or -1 and the empty slot the bucket
+// would take.
+func (b *Builder) find(h uint64) (int32, uint64) {
 	for slot := h & b.tableMask; ; slot = (slot + 1) & b.tableMask {
 		bi := b.tableIdx[slot]
-		if bi < 0 {
-			return -1, slot
-		}
-		if b.tableKeys[slot] == h {
-			s := b.pathSpans[bi]
-			if pathsEqual(b.pathElems[s.Off:s.Off+s.Len], path) {
-				return bi, slot
-			}
+		if bi < 0 || b.tableKeys[slot] == h {
+			return bi, slot
 		}
 	}
 }
 
-// bucketFor returns the bucket number for path (key h), creating it —
-// and copying the path into the arena — if new. The table doubles
-// before it would pass load 1/2, so its size is always the smallest
-// power of two (at least 4) holding twice the buckets.
-func (b *Builder) bucketFor(h uint64, path []uint32) int32 {
-	bi, slot := b.find(h, path)
+// bucketFor returns the bucket number of key h, creating it if new.
+// The table doubles before it would pass load 1/2, so its size is
+// always the smallest power of two (at least 4) holding twice the
+// buckets.
+func (b *Builder) bucketFor(h uint64) int32 {
+	bi, slot := b.find(h)
 	if bi >= 0 {
 		return bi
 	}
-	bi = int32(len(b.pathSpans))
-	if 2*(len(b.pathSpans)+1) > len(b.tableIdx) {
+	bi = int32(b.buckets)
+	b.buckets++
+	if 2*b.buckets > len(b.tableIdx) {
 		b.resizeTable(2 * len(b.tableIdx))
-		_, slot = b.find(h, path)
+		_, slot = b.find(h)
 	}
 	b.tableIdx[slot] = bi
 	b.tableKeys[slot] = h
-	if uint64(len(b.pathElems))+uint64(len(path)) > math.MaxUint32 {
-		// Span offsets are uint32; wrapping would silently alias earlier
-		// paths. Fail loudly — an index this size needs the sharded layout.
-		panic("lsf: path element arena exceeds 2^32 entries")
-	}
-	off := uint32(len(b.pathElems))
-	b.pathElems = append(b.pathElems, path...)
-	b.pathSpans = append(b.pathSpans, Span{Off: off, Len: uint32(len(path))})
 	if b.live {
 		b.head = append(b.head, -1)
 		b.tail = append(b.tail, -1)
@@ -160,19 +149,19 @@ func (b *Builder) add(bi, id int32) {
 	b.postings = append(b.postings, posting{bucket: bi, id: id})
 }
 
-// Add appends id to the bucket of path, whose key is h, creating the
-// bucket on first sight. The path is copied into the arena.
-func (b *Builder) Add(h uint64, path []uint32, id int32) {
-	b.add(b.bucketFor(h, path), id)
+// Add appends id to the bucket of key h, creating the bucket on first
+// sight.
+func (b *Builder) Add(h uint64, id int32) {
+	b.add(b.bucketFor(h), id)
 	b.totalFilters++
 }
 
-// AddBucket appends ids to the bucket of path (key h) — Add for a whole
-// posting list, with one table probe. A repeated path appends to its
+// AddBucket appends ids to the bucket of key h — Add for a whole
+// posting list, with one table probe. A repeated key appends to its
 // existing bucket, which is what segment compaction relies on when the
-// same path arrives from several source segments.
-func (b *Builder) AddBucket(h uint64, path []uint32, ids []int32) {
-	bi := b.bucketFor(h, path)
+// same key arrives from several source segments.
+func (b *Builder) AddBucket(h uint64, ids []int32) {
+	bi := b.bucketFor(h)
 	for _, id := range ids {
 		b.add(bi, id)
 	}
@@ -185,21 +174,20 @@ func (b *Builder) addFilterSet(id int32, fs *FilterSet) {
 		b.truncatedCount++
 	}
 	for k := 0; k < fs.Len(); k++ {
-		path := fs.Path(k)
-		b.Add(HashPath(path), path, id)
+		b.Add(HashPath(fs.Path(k)), id)
 	}
 }
 
 // Freeze counting-sorts the posting log into CSR form and returns the
-// immutable index over data, which takes over the key table and path
-// arenas as they are. Posting order within a bucket is insertion order
-// (the scatter is stable). Freeze writes nothing the builder reads, so
-// a live builder keeps answering Lookup while and after it freezes;
-// nothing may be added to it afterwards.
+// immutable index over data, which takes over the key table as it is.
+// Posting order within a bucket is insertion order (the scatter is
+// stable). Freeze writes nothing the builder reads, so a live builder
+// keeps answering Lookup while and after it freezes; nothing may be
+// added to it afterwards.
 func (b *Builder) Freeze(data []bitvec.Vector) *Index {
-	nb := len(b.pathSpans)
+	nb := b.buckets
 	if uint64(len(b.postings)) > math.MaxUint32 {
-		// CSR offsets are uint32; see the matching guard in bucketFor.
+		// CSR offsets are uint32; wrapping would silently alias buckets.
 		panic("lsf: posting log exceeds 2^32 entries")
 	}
 	idOff := make([]uint32, nb+1)
@@ -222,8 +210,6 @@ func (b *Builder) Freeze(data []bitvec.Vector) *Index {
 		tableKeys:      b.tableKeys,
 		tableIdx:       b.tableIdx,
 		tableMask:      b.tableMask,
-		pathSpans:      b.pathSpans,
-		pathElems:      b.pathElems,
 		idOff:          idOff,
 		ids:            ids,
 		totalFilters:   b.totalFilters,
@@ -231,39 +217,35 @@ func (b *Builder) Freeze(data []bitvec.Vector) *Index {
 	}
 }
 
-// Reserve preallocates the arenas for an eighth more buckets, path
-// elements and postings than like holds — like is typically the
-// previous memtable's builder, since memtables fill to the same size —
-// so growing to about that size copies nothing, and the path arenas a
-// frozen index keeps carry little slack. The key table is not
-// reserved: its size is the frozen layout's, set by the bucket count.
-// Call it before the first Add.
+// Reserve preallocates the arenas for an eighth more buckets and
+// postings than like holds — like is typically the previous memtable's
+// builder, since memtables fill to the same size — so growing to about
+// that size copies nothing. The key table is not reserved: its size is
+// the frozen layout's, set by the bucket count. Call it before the
+// first Add.
 func (b *Builder) Reserve(like *Builder) {
-	b.reserve(len(like.pathSpans), len(like.pathElems), len(like.postings))
+	b.reserve(like.buckets, len(like.postings))
 }
 
 // ReserveFor is Reserve sized from a frozen index instead of a builder:
-// ix's buckets, path elements and postings per vector, times vectors —
-// the memtable that follows a bulk load reserves this way, at the
-// loaded segment's densities and its own capacity. The key table is not
-// reserved either: an oversized empty table costs every lookup a cache
-// miss.
+// ix's buckets and postings per vector, times vectors — the memtable
+// that follows a bulk load reserves this way, at the loaded segment's
+// densities and its own capacity. The key table is not reserved either:
+// an oversized empty table costs every lookup a cache miss.
 func (b *Builder) ReserveFor(ix *Index, vectors int) {
 	n := len(ix.data)
 	if n == 0 || vectors <= 0 {
 		return
 	}
 	scale := func(k int) int { return int(int64(k) * int64(vectors) / int64(n)) }
-	b.reserve(scale(len(ix.pathSpans)), scale(len(ix.pathElems)), scale(ix.totalFilters))
+	b.reserve(scale(ix.buckets()), scale(ix.totalFilters))
 }
 
-// reserve grows the arenas for an eighth more than buckets buckets,
-// elems path elements and postings postings.
-func (b *Builder) reserve(buckets, elems, postings int) {
+// reserve grows the arenas for an eighth more than buckets buckets and
+// postings postings.
+func (b *Builder) reserve(buckets, postings int) {
 	room := func(n int) int { return n + n/8 }
 	nb, np := room(buckets), room(postings)
-	b.pathSpans = slices.Grow(b.pathSpans, nb)
-	b.pathElems = slices.Grow(b.pathElems, room(elems))
 	b.postings = slices.Grow(b.postings, np)
 	if b.live {
 		b.head = slices.Grow(b.head, nb)
@@ -272,15 +254,24 @@ func (b *Builder) reserve(buckets, elems, postings int) {
 	}
 }
 
+// ResidentBytes is the heap footprint of the builder's filled arenas —
+// the key table, the posting log and a live builder's links — the
+// memtable's counterpart of Index.ResidentBytes. Reserved capacity not
+// yet written is not counted.
+func (b *Builder) ResidentBytes() int64 {
+	return int64(len(b.tableKeys))*8 + int64(len(b.tableIdx))*4 +
+		int64(len(b.postings))*8 + int64(len(b.head)+len(b.tail)+len(b.next))*4
+}
+
 // AddTruncated accumulates the count of vectors whose filter generation
 // hit the work budget.
 func (b *Builder) AddTruncated(n int) { b.truncatedCount += n }
 
-// Lookup returns the first posting of path's bucket (key h) as a
-// cursor for Posting, or -1 when the path has no posting. Live builders
-// only. Never allocates.
-func (b *Builder) Lookup(h uint64, path []uint32) int32 {
-	bi, _ := b.find(h, path)
+// Lookup returns the first posting of key h's bucket as a cursor for
+// Posting, or -1 when the key has no posting. Live builders only. Never
+// allocates.
+func (b *Builder) Lookup(h uint64) int32 {
+	bi, _ := b.find(h)
 	if bi < 0 {
 		return -1
 	}

@@ -16,15 +16,16 @@ import (
 // SKSEG1 segment container (internal/segment), and the index's only
 // encoding. It stores the frozen arenas verbatim, so an open is either
 // zero-copy (the arenas become views into the container's bytes) or
-// one flat decode — never a rebuild. Layout, all little-endian, blob offset 0 assumed
-// 8-aligned by the container:
+// one flat decode — never a rebuild. Layout, all little-endian, blob
+// offset 0 assumed 8-aligned by the container:
 //
 //	header (64 bytes):
 //	  nb        uint32  buckets
 //	  tableLen  uint32  key-table slots (power of two, >= 2*nb)
-//	  nElems    uint32  path element arena length
+//	  nElems    uint32  legacy path element count (0 when bit1 is set)
 //	  nIDs      uint32  logical posting count (idOff[nb])
 //	  flags     uint32  bit0: postings are delta+varint compressed
+//	                    bit1: key-only (no path sections)
 //	  blobLen   uint32  compressed posting bytes (0 when uncompressed)
 //	  total     uint64  TotalFilters
 //	  trunc     uint64  Truncated
@@ -32,22 +33,32 @@ import (
 //	sections, in order, each padded to 8 bytes:
 //	  tableKeys [tableLen]uint64
 //	  tableIdx  [tableLen]int32
-//	  pathSpans [nb]{Off, Len uint32}
+//	  pathSpans [nb]{Off, Len uint32}                 (legacy: bit1 clear)
 //	  idOff     [nb+1]uint32
-//	  pathElems [nElems]uint32
-//	  postings  ids [nIDs]int32                      (flags bit0 clear)
+//	  pathElems [nElems]uint32                        (legacy: bit1 clear)
+//	  postings  ids [nIDs]int32                       (flags bit0 clear)
 //	            compOff [nb+1]uint32 + blob [blobLen] (flags bit0 set)
+//
+// WriteFrozen always writes the key-only layout. Legacy blobs (written
+// before buckets became their key) still open: their path sections are
+// bounds-checked and skipped, and a legacy table holding one key under
+// several buckets (distinct paths whose hashes collided) is merged into
+// one bucket per key by a resident rebuild, so it answers like a fresh
+// build.
 //
 // Integrity is the container's job (each section of the container is
 // CRC-32C framed via dataio); this layer validates structure — table
-// load factor, span bounds, CSR monotonicity, id ranges, and a full
-// decode pass over compressed postings — so a blob that passes
-// OpenFrozenBytes can be traversed without further checks.
+// load factor, key reachability and uniqueness, CSR monotonicity, id
+// ranges, and a full decode pass over compressed postings — so a blob
+// that passes OpenFrozenBytes can be traversed without further checks.
 
 const (
 	frozenHeaderLen = 64
 	// frozenCompressed marks the posting section as delta+varint blocks.
 	frozenCompressed = 1 << 0
+	// frozenKeyOnly marks a blob without path sections. Readers that
+	// predate it reject the flag, so a downgrade fails loudly.
+	frozenKeyOnly = 1 << 1
 )
 
 // hostLittleEndian selects the zero-copy paths: arena views into a
@@ -81,13 +92,9 @@ func (ix *Index) ColdPostings() bool { return ix.cold != nil }
 // budget is accounted in. For a cold or compressed index it reports
 // what promotion WOULD cost, not current usage.
 func (ix *Index) ResidentBytes() int64 {
-	n := int64(len(ix.tableKeys))*8 + int64(len(ix.tableIdx))*4 +
-		int64(len(ix.pathSpans))*8 + int64(len(ix.pathElems))*4 +
-		int64(len(ix.idOff))*4
+	n := int64(len(ix.tableKeys))*8 + int64(len(ix.tableIdx))*4 + int64(len(ix.idOff))*4
 	if ix.cold != nil {
-		if nb := len(ix.pathSpans); nb > 0 {
-			n += int64(ix.idOff[nb]) * 4
-		}
+		n += int64(ix.idOff[ix.buckets()]) * 4
 	} else {
 		n += int64(len(ix.ids)) * 4
 	}
@@ -120,11 +127,11 @@ const frozenScratch = 64 << 10
 // cost is the compressed postings' offset table, one frozenScratch
 // buffer, and for a cold source one bucket's decode buffer.
 func (ix *Index) WriteFrozen(w io.Writer, compress bool) (int64, error) {
-	nb := len(ix.pathSpans)
+	nb := ix.buckets()
 	fw := &frozenWriter{w: w}
 	var buf []int32 // decode buffer for a cold source's buckets
 	var compOff []uint32
-	flags := uint32(0)
+	flags := uint32(frozenKeyOnly)
 	if compress {
 		// Sizing pass: the blob length heads the blob and the offsets
 		// precede the postings, so both are known before a byte is
@@ -135,16 +142,11 @@ func (ix *Index) WriteFrozen(w io.Writer, compress bool) (int64, error) {
 			compOff[b+1] = compOff[b] + uint32(postingsLen(ix.bucketPostings(int32(b), &buf)))
 		}
 	}
-	var nIDs uint32
-	if nb > 0 {
-		nIDs = ix.idOff[nb]
-	}
 	var hdr [frozenHeaderLen]byte
 	le := binary.LittleEndian
 	le.PutUint32(hdr[0:], uint32(nb))
 	le.PutUint32(hdr[4:], uint32(len(ix.tableIdx)))
-	le.PutUint32(hdr[8:], uint32(len(ix.pathElems)))
-	le.PutUint32(hdr[12:], nIDs)
+	le.PutUint32(hdr[12:], ix.idOff[nb])
 	le.PutUint32(hdr[16:], flags)
 	if compress {
 		le.PutUint32(hdr[20:], compOff[nb])
@@ -156,10 +158,7 @@ func (ix *Index) WriteFrozen(w io.Writer, compress bool) (int64, error) {
 	fw.u64s(ix.tableKeys)
 	fw.u32s(i32Words(ix.tableIdx))
 	fw.pad()
-	fw.u32s(spanWords(ix.pathSpans))
 	fw.u32s(ix.idOff)
-	fw.pad()
-	fw.u32s(ix.pathElems)
 	fw.pad()
 	switch {
 	case compress:
@@ -263,14 +262,9 @@ func (fw *frozenWriter) u64s(v []uint64) {
 	}
 }
 
-// i32Words and spanWords reinterpret arenas as the uint32 words they
-// encode to (a Span is its Off word, then its Len word).
+// i32Words reinterprets an arena as the uint32 words it encodes to.
 func i32Words(v []int32) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(v))), len(v))
-}
-
-func spanWords(v []Span) []uint32 {
-	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(v))), 2*len(v))
 }
 
 // frozenReader walks a blob's sections, validating bounds as it goes.
@@ -315,6 +309,7 @@ func OpenFrozenBytes(b []byte, engine *Engine, data []bitvec.Vector, zeroCopy bo
 	total := le.Uint64(b[24:])
 	trunc := le.Uint64(b[32:])
 	compressed := flags&frozenCompressed != 0
+	keyOnly := flags&frozenKeyOnly != 0
 
 	// Structural sanity before any sizing math: the table must be a
 	// power of two at load factor <= 1/2 (the linear probe terminates
@@ -322,8 +317,11 @@ func OpenFrozenBytes(b []byte, engine *Engine, data []bitvec.Vector, zeroCopy bo
 	if tableLen < 4 || tableLen&(tableLen-1) != 0 || nb > tableLen/2 {
 		return nil, fmt.Errorf("%w: %d buckets in a key table of %d slots", ErrFrozenBlob, nb, tableLen)
 	}
-	if flags&^uint32(frozenCompressed) != 0 {
+	if flags&^uint32(frozenCompressed|frozenKeyOnly) != 0 {
 		return nil, fmt.Errorf("%w: unknown flags %#x", ErrFrozenBlob, flags)
+	}
+	if keyOnly && nElems != 0 {
+		return nil, fmt.Errorf("%w: key-only blob with %d path elements", ErrFrozenBlob, nElems)
 	}
 	if !compressed && blobLen != 0 {
 		return nil, fmt.Errorf("%w: uncompressed postings with blob length %d", ErrFrozenBlob, blobLen)
@@ -341,17 +339,19 @@ func OpenFrozenBytes(b []byte, engine *Engine, data []bitvec.Vector, zeroCopy bo
 	if err != nil {
 		return nil, err
 	}
-	spansB, err := r.section(8, nb)
-	if err != nil {
-		return nil, err
+	if !keyOnly {
+		if _, err = r.section(8, nb); err != nil { // legacy pathSpans
+			return nil, err
+		}
 	}
 	offB, err := r.section(4, nb+1)
 	if err != nil {
 		return nil, err
 	}
-	elemsB, err := r.section(4, nElems)
-	if err != nil {
-		return nil, err
+	if !keyOnly {
+		if _, err = r.section(4, nElems); err != nil { // legacy pathElems
+			return nil, err
+		}
 	}
 	var idsB, compOffB, blobB []byte
 	if compressed {
@@ -382,9 +382,7 @@ func OpenFrozenBytes(b []byte, engine *Engine, data []bitvec.Vector, zeroCopy bo
 	if zeroCopy && hostLittleEndian {
 		ix.tableKeys = viewU64(keysB)
 		ix.tableIdx = viewI32(idxB)
-		ix.pathSpans = viewSpans(spansB)
 		ix.idOff = viewU32(offB)
-		ix.pathElems = viewU32(elemsB)
 		if compressed {
 			ix.cold = &coldPostings{compOff: viewU32(compOffB), blob: blobB, maxID: int32(len(data))}
 		} else {
@@ -393,15 +391,17 @@ func OpenFrozenBytes(b []byte, engine *Engine, data []bitvec.Vector, zeroCopy bo
 	} else {
 		ix.tableKeys = decodeU64(keysB)
 		ix.tableIdx = decodeI32(idxB)
-		ix.pathSpans = decodeSpans(spansB)
 		ix.idOff = decodeU32(offB)
-		ix.pathElems = decodeU32(elemsB)
 		if !compressed {
 			ix.ids = decodeI32(idsB)
 		}
 	}
-	if err := ix.validateFrozen(nIDs, len(data)); err != nil {
+	dupKeys, err := ix.validateFrozen(nIDs, len(data))
+	if err != nil {
 		return nil, err
+	}
+	if dupKeys && keyOnly {
+		return nil, fmt.Errorf("%w: key-only blob stores a key under two buckets", ErrFrozenBlob)
 	}
 	if compressed {
 		if err := validateCompressed(ix.idOff, decodeOrView(compOffB, zeroCopy), blobB, len(data)); err != nil {
@@ -422,7 +422,21 @@ func OpenFrozenBytes(b []byte, engine *Engine, data []bitvec.Vector, zeroCopy bo
 			ix.ids = ids
 		}
 	}
+	if dupKeys {
+		ix = ix.mergeKeys()
+	}
 	return ix, nil
+}
+
+// mergeKeys rebuilds a legacy index whose table stores a key under
+// several buckets into one resident index with one bucket per key,
+// postings concatenated in bucket order: what a fresh build of the
+// same postings makes.
+func (ix *Index) mergeKeys() *Index {
+	b := NewBuilder(ix.engine)
+	ix.ForEachBucket(b.AddBucket)
+	b.totalFilters, b.truncatedCount = ix.totalFilters, ix.truncatedCount
+	return b.Freeze(ix.data)
 }
 
 // decodeOrView picks the cheap path for a uint32 section that is only
@@ -435,37 +449,45 @@ func decodeOrView(b []byte, zeroCopy bool) []uint32 {
 }
 
 // validateFrozen checks the invariants traversal relies on, so a blob
-// that opens cleanly can be walked with no per-access checks.
-func (ix *Index) validateFrozen(nIDs, nData int) error {
-	nb := len(ix.pathSpans)
-	for _, bkt := range ix.tableIdx {
-		if bkt < -1 || int(bkt) >= nb {
-			return fmt.Errorf("%w: table slot references bucket %d of %d", ErrFrozenBlob, bkt, nb)
+// that opens cleanly can be walked with no per-access checks, and that
+// every key is reachable by a linear probe from its home slot. It
+// reports whether a key is stored under two buckets, which only a
+// legacy blob may do (see mergeKeys); the probe walk that finds them
+// is ~1.5 slots per bucket at load ≤ 1/2.
+func (ix *Index) validateFrozen(nIDs, nData int) (dupKeys bool, err error) {
+	nb := ix.buckets()
+	for slot, bkt := range ix.tableIdx {
+		if bkt == -1 {
+			continue
 		}
-	}
-	for b, s := range ix.pathSpans {
-		if uint64(s.Off)+uint64(s.Len) > uint64(len(ix.pathElems)) {
-			return fmt.Errorf("%w: bucket %d path span [%d,+%d) exceeds arena of %d",
-				ErrFrozenBlob, b, s.Off, s.Len, len(ix.pathElems))
+		if bkt < 0 || int(bkt) >= nb {
+			return false, fmt.Errorf("%w: table slot %d references bucket %d of %d", ErrFrozenBlob, slot, bkt, nb)
+		}
+		h := ix.tableKeys[slot]
+		for s := h & ix.tableMask; s != uint64(slot); s = (s + 1) & ix.tableMask {
+			if ix.tableIdx[s] < 0 {
+				return false, fmt.Errorf("%w: key in slot %d is unreachable from its home slot", ErrFrozenBlob, slot)
+			}
+			dupKeys = dupKeys || ix.tableKeys[s] == h
 		}
 	}
 	if ix.idOff[0] != 0 {
-		return fmt.Errorf("%w: idOff[0] = %d", ErrFrozenBlob, ix.idOff[0])
+		return false, fmt.Errorf("%w: idOff[0] = %d", ErrFrozenBlob, ix.idOff[0])
 	}
 	for b := 0; b < nb; b++ {
 		if ix.idOff[b+1] < ix.idOff[b] {
-			return fmt.Errorf("%w: idOff not monotonic at bucket %d", ErrFrozenBlob, b)
+			return false, fmt.Errorf("%w: idOff not monotonic at bucket %d", ErrFrozenBlob, b)
 		}
 	}
 	if int(ix.idOff[nb]) != nIDs {
-		return fmt.Errorf("%w: idOff[%d] = %d, header claims %d postings", ErrFrozenBlob, nb, ix.idOff[nb], nIDs)
+		return false, fmt.Errorf("%w: idOff[%d] = %d, header claims %d postings", ErrFrozenBlob, nb, ix.idOff[nb], nIDs)
 	}
 	for _, id := range ix.ids {
 		if id < 0 || int(id) >= nData {
-			return fmt.Errorf("%w: posting id %d outside dataset of %d", ErrFrozenBlob, id, nData)
+			return false, fmt.Errorf("%w: posting id %d outside dataset of %d", ErrFrozenBlob, id, nData)
 		}
 	}
-	return nil
+	return dupKeys, nil
 }
 
 // validateCompressed decodes every bucket once (into one reused
@@ -494,7 +516,7 @@ func validateCompressed(idOff, compOff []uint32, blob []byte, nData int) error {
 // bucketOf maps a posting ref's logical offset back to its bucket:
 // the unique b with idOff[b] <= off < idOff[b+1] (refs have Len > 0).
 func (ix *Index) bucketOf(off uint32) int32 {
-	nb := len(ix.pathSpans)
+	nb := ix.buckets()
 	return int32(sort.Search(nb, func(b int) bool { return ix.idOff[b+1] > off }))
 }
 
@@ -557,13 +579,6 @@ func viewI32(b []byte) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-func viewSpans(b []byte) []Span {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*Span)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
 // Heap decodes for the portable (big-endian or copying) open path.
 
 func decodeU64(b []byte) []uint64 {
@@ -586,17 +601,6 @@ func decodeI32(b []byte) []int32 {
 	out := make([]int32, len(b)/4)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func decodeSpans(b []byte) []Span {
-	out := make([]Span, len(b)/8)
-	for i := range out {
-		out[i] = Span{
-			Off: binary.LittleEndian.Uint32(b[8*i:]),
-			Len: binary.LittleEndian.Uint32(b[8*i+4:]),
-		}
 	}
 	return out
 }

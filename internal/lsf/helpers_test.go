@@ -36,7 +36,7 @@ func fig1TestEngine(t *testing.T, n int) (*Engine, []bitvec.Vector) {
 
 // PathKey encodes a path as a compact string (big-endian fixed width per
 // element); distinct paths get distinct keys. The index buckets by
-// 64-bit path hashes, so tests use it where exact string identity of a
+// 64-bit path hashes alone, so tests use it where exact identity of a
 // path is wanted.
 func PathKey(path []uint32) string {
 	b := make([]byte, 4*len(path))
@@ -49,13 +49,22 @@ func PathKey(path []uint32) string {
 	return string(b)
 }
 
+// postings returns the posting list of path's bucket, or nil.
+func (ix *Index) postings(path []uint32) []int32 {
+	r, ok := ix.PathRef(path)
+	if !ok {
+		return nil
+	}
+	return ix.RefIDs(r)
+}
+
 // bucketSnapshot flattens an index's ForEachBucket contents into a
-// path-keyed map for representation-independent comparison: resident,
+// key-indexed map for representation-independent comparison: resident,
 // zero-copy and compressed cold indexes alike.
-func bucketSnapshot(ix *Index) map[string][]int32 {
-	out := make(map[string][]int32, len(ix.pathSpans))
-	ix.ForEachBucket(func(_ uint64, path []uint32, ids []int32) {
-		out[PathKey(path)] = slices.Clone(ids)
+func bucketSnapshot(ix *Index) map[uint64][]int32 {
+	out := make(map[uint64][]int32, ix.buckets())
+	ix.ForEachBucket(func(h uint64, ids []int32) {
+		out[h] = slices.Clone(ids)
 	})
 	return out
 }

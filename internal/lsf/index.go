@@ -13,16 +13,15 @@ import (
 // linear in Σ_x |F(x)| plus the data itself.
 //
 // The index is frozen: construction goes through a Builder, and the
-// finished structure is four flat arenas plus an open-addressing key
+// finished structure is three flat arenas plus an open-addressing key
 // table — no per-bucket heap objects, no pointers for the GC to trace,
 // and traversal is pure array arithmetic:
 //
 //   - tableKeys/tableIdx: an open-addressing (linear-probe) table mapping
-//     a 64-bit path hash to a bucket number; distinct paths that collide
-//     on the hash simply occupy separate slots, and every probe verifies
-//     path equality, so correctness never depends on hash quality.
-//   - pathSpans/pathElems: every distinct path's elements, back to back
-//     in one arena, addressed by (offset, length) spans per bucket.
+//     a 64-bit path hash to a bucket number. The key is the bucket: no
+//     path is stored, and distinct paths that collide on the hash share
+//     a bucket. That can only add candidates, which exact verification
+//     rejects, so recall never depends on hash quality.
 //   - idOff/ids: the posting lists in CSR form — bucket b's ids are
 //     ids[idOff[b]:idOff[b+1]], in insertion (= vector id) order.
 type Index struct {
@@ -47,8 +46,6 @@ type Index struct {
 	tableKeys []uint64 // path hash per slot (valid where tableIdx >= 0)
 	tableIdx  []int32  // bucket number per slot; -1 = empty
 	tableMask uint64   // len(tableIdx) is a power of two
-	pathSpans []Span   // per bucket: the path's span in pathElems
-	pathElems []uint32 // arena of all distinct paths' elements
 	idOff     []uint32 // CSR offsets into ids; len = buckets + 1
 	ids       []int32  // all posting lists, bucket-major (nil when cold)
 
@@ -80,23 +77,8 @@ func HashPath(path []uint32) uint64 {
 	return h ^ (h >> 32)
 }
 
-func pathsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// bucketPath returns bucket b's path as a view into the arena.
-func (ix *Index) bucketPath(b int32) []uint32 {
-	s := ix.pathSpans[b]
-	return ix.pathElems[s.Off : s.Off+s.Len]
-}
+// buckets is the bucket count.
+func (ix *Index) buckets() int { return len(ix.idOff) - 1 }
 
 // bucketIDs returns bucket b's posting list as a view into the CSR
 // arena. Resident indexes only; cold callers go through appendColdBucket.
@@ -114,17 +96,17 @@ type PostingRef struct {
 	Off, Len uint32
 }
 
-// PathRef resolves the exact path to its posting span, reporting
+// PathRef resolves the path's bucket to its posting span, reporting
 // whether the path is indexed. Never allocates: one linear-probe walk
-// over the key table, path equality verified against the span arena.
+// over the key table.
 func (ix *Index) PathRef(path []uint32) (PostingRef, bool) {
-	return ix.PathRefHash(HashPath(path), path)
+	return ix.PathRefHash(HashPath(path))
 }
 
-// PathRefHash is PathRef with a caller-precomputed HashPath(path) — the
-// segmented layer hashes each query path once and probes every frozen
-// segment (and its bloom filter) with the same key.
-func (ix *Index) PathRefHash(h uint64, path []uint32) (PostingRef, bool) {
+// PathRefHash is PathRef by key: the segmented layer hashes each query
+// path once and probes every frozen segment (and its bloom filter) with
+// the same key.
+func (ix *Index) PathRefHash(h uint64) (PostingRef, bool) {
 	if len(ix.tableIdx) == 0 {
 		return PostingRef{}, false
 	}
@@ -133,7 +115,7 @@ func (ix *Index) PathRefHash(h uint64, path []uint32) (PostingRef, bool) {
 		if b < 0 {
 			return PostingRef{}, false
 		}
-		if ix.tableKeys[slot] == h && pathsEqual(ix.bucketPath(b), path) {
+		if ix.tableKeys[slot] == h {
 			off := ix.idOff[b]
 			return PostingRef{Off: off, Len: ix.idOff[b+1] - off}, true
 		}
@@ -150,39 +132,23 @@ func (ix *Index) RefIDs(r PostingRef) []int32 {
 	return ix.ids[r.Off : r.Off+r.Len]
 }
 
-// postings returns the ids sharing the path, or nil.
-func (ix *Index) postings(path []uint32) []int32 {
-	r, ok := ix.PathRef(path)
-	if !ok {
-		return nil
-	}
-	return ix.RefIDs(r)
-}
-
-// Postings returns the posting list of the exact path as a read-only view
-// into the CSR arena, or nil when no indexed vector chose it. It is the
-// segment-facing probe: the segmented index (internal/segment) computes
-// F(q) once and probes every frozen segment per path instead of paying
-// one full traversal per segment.
-func (ix *Index) Postings(path []uint32) []int32 { return ix.postings(path) }
-
-// ForEachBucket visits every (key, path, posting list) bucket of the
-// frozen index, the key being the one the bucket is stored under in the
-// key table. Both slices are views into the arenas and must not be
-// modified or retained across calls. Bucket order is the internal
-// bucket numbering (first-insertion order, deterministic but not
-// sorted). This is the replay hook segment
-// compaction uses to merge frozen segments without recomputing any
-// filter or re-hashing any path.
-func (ix *Index) ForEachBucket(fn func(h uint64, path []uint32, ids []int32)) {
-	keys := make([]uint64, len(ix.pathSpans))
+// ForEachBucket visits every (key, posting list) bucket of the frozen
+// index, the key being the one the bucket is stored under in the key
+// table. The list is a view into the arena (or a reused decode buffer)
+// and must not be modified or retained across calls. Bucket order is
+// the internal bucket numbering (first-insertion order, deterministic
+// but not sorted). This is the replay hook segment compaction uses to
+// merge frozen segments without recomputing any filter or re-hashing
+// any path.
+func (ix *Index) ForEachBucket(fn func(h uint64, ids []int32)) {
+	keys := make([]uint64, ix.buckets())
 	for slot, b := range ix.tableIdx {
 		if b >= 0 {
 			keys[b] = ix.tableKeys[slot]
 		}
 	}
 	var ids, scratch []int32
-	for b := range ix.pathSpans {
+	for b := range keys {
 		b := int32(b)
 		if ix.cold == nil {
 			ids = ix.bucketIDs(b)
@@ -193,7 +159,7 @@ func (ix *Index) ForEachBucket(fn func(h uint64, path []uint32, ids []int32)) {
 			}
 			ids = scratch
 		}
-		fn(keys[b], ix.bucketPath(b), ids)
+		fn(keys[b], ids)
 	}
 }
 
@@ -202,7 +168,7 @@ func (ix *Index) ForEachBucket(fn func(h uint64, path []uint32, ids []int32)) {
 type BuildStats struct {
 	Vectors      int
 	TotalFilters int // Σ_x |F(x)|
-	Buckets      int // distinct paths
+	Buckets      int // distinct path keys
 	Truncated    int // vectors whose filter sets hit the work budget
 }
 
@@ -229,7 +195,7 @@ func (ix *Index) Stats() BuildStats {
 	return BuildStats{
 		Vectors:      len(ix.data),
 		TotalFilters: ix.totalFilters,
-		Buckets:      len(ix.pathSpans),
+		Buckets:      ix.buckets(),
 		Truncated:    ix.truncatedCount,
 	}
 }

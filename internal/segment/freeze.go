@@ -12,7 +12,7 @@ import (
 // buildSegment freezes a rotated (immutable) memtable into a frozenSeg:
 // each repetition's live builder counting-sorts its postings (already
 // local ids) into CSR form over the memtable's vectors, keeping its key
-// table and path arenas — no bucket is replayed and no path re-hashed,
+// table — no bucket is replayed and no path re-hashed,
 // and bucket order is first sight, so equal insert sequences freeze to
 // equal segments. The memtable stays readable throughout: queries keep
 // probing it in the flushing list until the segment is installed.
@@ -47,7 +47,7 @@ func (s *SegmentedIndex) buildSegment(mt *memtable) *frozenSeg {
 
 // mergeSegments compacts two frozen segments into one, replaying both
 // CSR indexes' buckets under their stored keys (lsf.ForEachBucket —
-// again no filter is recomputed and no path re-hashed) while dropping
+// again no filter is recomputed and no path read) while dropping
 // every posting of a tombstoned vector; the merged data slice holds
 // live vectors only, which is where Delete's space is finally
 // reclaimed. The alive snapshot is taken once up front: a Delete racing
@@ -84,7 +84,7 @@ func (s *SegmentedIndex) mergeSegments(a, b *frozenSeg) *frozenSeg {
 	for r := range merged.reps {
 		bl := lsf.NewBuilder(s.eng.reps[r])
 		for i, g := range srcs {
-			g.reps[r].ForEachBucket(func(h uint64, path []uint32, ids []int32) {
+			g.reps[r].ForEachBucket(func(h uint64, ids []int32) {
 				lids = lids[:0]
 				for _, lid := range ids {
 					if nl := remap[i][lid]; nl >= 0 {
@@ -92,7 +92,7 @@ func (s *SegmentedIndex) mergeSegments(a, b *frozenSeg) *frozenSeg {
 					}
 				}
 				if len(lids) > 0 {
-					bl.AddBucket(h, path, lids)
+					bl.AddBucket(h, lids)
 				}
 			})
 			bl.AddTruncated(g.reps[r].Stats().Truncated)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"skewsim/internal/faultinject"
+	"skewsim/internal/hashing"
 	"skewsim/internal/wal"
 )
 
@@ -221,4 +222,55 @@ func TestStorageLoadCrashRecovery(t *testing.T) {
 			assertEquivalent(t, re, ref, queries)
 		})
 	}
+}
+
+// TestResidentBytesCountsMemtables: IndexStats.ResidentBytes counts the
+// memtables' builder arenas beside the resident segments'. A Load and
+// an InsertBatch plus Flush of the same vectors freeze to identical
+// arenas beside identical empty memtables, so they report the same
+// bytes exactly. Before that Flush the vectors sit in the live builder,
+// over the key table the frozen segment keeps: it holds a posting in 12
+// bytes (log entry and chain link) where the CSR holds 4, and a bucket
+// in 8 (chain head and tail) where the CSR holds 4 (its offset). So the
+// tolerance between the two is after ≤ before ≤ 3·after, and all of the
+// before bytes are the memtable's.
+func TestResidentBytesCountsMemtables(t *testing.T) {
+	const n = 300
+	d := testDist(t)
+	cfg := Config{Params: testParams(d, n, 3, 111), N: n, MemtableSize: 2 * n}
+	data := d.SampleN(hashing.NewSplitMix64(112), n)
+	ids := loadedIDs(n)
+	loaded, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if err := loaded.Load(ids, data); err != nil {
+		t.Fatal(err)
+	}
+	inserted, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inserted.Close()
+	if err := inserted.InsertBatch(ids, data); err != nil {
+		t.Fatal(err)
+	}
+	before := inserted.Stats()
+	inserted.Flush()
+	inserted.WaitIdle()
+	after, load := inserted.Stats(), loaded.Stats()
+	if before.Memtable != n || before.Segments != 0 || before.MemtableBytes != before.ResidentBytes {
+		t.Fatalf("before Flush: %+v, want every vector and byte in the memtable", before)
+	}
+	if after.Segments != 1 || load.Segments != 1 || after.MemtableBytes != load.MemtableBytes || after.ResidentBytes != load.ResidentBytes {
+		t.Fatalf("after Flush %+v, after Load %+v: want equal bytes", after, load)
+	}
+	if after.MemtableBytes <= 0 || after.MemtableBytes >= after.ResidentBytes/100 {
+		t.Fatalf("empty memtable reports %d of %d bytes", after.MemtableBytes, after.ResidentBytes)
+	}
+	if b, a := before.ResidentBytes, after.ResidentBytes; b < a || b > 3*a {
+		t.Fatalf("%d bytes before Flush, %d after: want after ≤ before ≤ 3·after", b, a)
+	}
+	t.Logf("%d bytes in the memtable, %d frozen", before.ResidentBytes, after.ResidentBytes)
 }

@@ -7,7 +7,8 @@ import (
 // hashPath is the bucket key of every layer: memtable builders, frozen
 // key tables, bloom filters and query plans all key on it, and frozen
 // segments keep the key they were built with (compaction replays stored
-// keys). It is a variable only so tests can force key collisions.
+// keys). The key is the bucket: paths that share it share their
+// postings. It is a variable only so tests can force key collisions.
 var hashPath = lsf.HashPath
 
 // memtable is the mutable head of a SegmentedIndex: one live lsf
@@ -60,19 +61,27 @@ func (mt *memtable) add(slot int32, fss []*lsf.FilterSet) {
 			bl.AddTruncated(1)
 		}
 		for k := 0; k < fs.Len(); k++ {
-			path := fs.Path(k)
-			bl.Add(hashPath(path), path, lid)
+			bl.Add(hashPath(fs.Path(k)), lid)
 		}
 	}
 	mt.slots = append(mt.slots, slot)
 }
 
-// each streams the slots of path's bucket (key h) in repetition r into
-// fn, in insertion order, until fn returns false; it reports whether fn
-// never did.
-func (mt *memtable) each(r int, h uint64, path []uint32, fn func(slot int32) bool) bool {
+// residentBytes is the heap footprint of the memtable's builder arenas.
+func (mt *memtable) residentBytes() int64 {
+	var n int64
+	for _, bl := range mt.reps {
+		n += bl.ResidentBytes()
+	}
+	return n
+}
+
+// each streams the slots of key h's bucket in repetition r into fn, in
+// insertion order, until fn returns false; it reports whether fn never
+// did.
+func (mt *memtable) each(r int, h uint64, fn func(slot int32) bool) bool {
 	bl := mt.reps[r]
-	for p := bl.Lookup(h, path); p >= 0; {
+	for p := bl.Lookup(h); p >= 0; {
 		var lid int32
 		lid, p = bl.Posting(p)
 		if !fn(mt.slots[lid]) {

@@ -6,20 +6,24 @@ import (
 	"sync"
 	"testing"
 
+	"skewsim/internal/bitvec"
 	"skewsim/internal/faultinject"
 	"skewsim/internal/hashing"
 	"skewsim/internal/lsf"
 )
 
 // TestMemtableKeyCollisions folds every bucket key to 64 values, so most
-// paths share their key with others, and checks the candidate set of
-// every query against a static build (which keys on the full hash) in
-// each state a posting passes through: the active memtable, the
-// flushing list while its freeze is held in flight, the frozen segment,
-// and the compacted segment.
+// paths share their key — and so their bucket — with others, and checks
+// every query in each state a posting passes through: the active
+// memtable, the flushing list while its freeze is held in flight, the
+// frozen segment, and the compacted segment. The candidates must equal
+// a static build under the same folded key and contain the full-key
+// build's; mode best and mode first must answer as brute force over
+// those candidates does.
 func TestMemtableKeyCollisions(t *testing.T) {
 	prev := hashPath
-	hashPath = func(path []uint32) uint64 { return lsf.HashPath(path) & 63 }
+	fold := func(path []uint32) uint64 { return lsf.HashPath(path) & 63 }
+	hashPath = fold
 	t.Cleanup(func() { hashPath = prev })
 
 	const n = 300
@@ -33,21 +37,67 @@ func TestMemtableKeyCollisions(t *testing.T) {
 	rng := hashing.NewSplitMix64(62)
 	data := d.SampleN(rng, n+n/2)
 	qs := append(d.SampleN(rng, 40), data[0], data[n-1], data[n])
+	m := bitvec.BraunBlanquetMeasure
 
+	// folded is the static build under the folded key: every posting of
+	// data[:live], one bucket per folded key, probed by folded key.
+	folded := func(live int) func(q bitvec.Vector) []int64 {
+		reps := make([]*lsf.Index, len(s.eng.reps))
+		for r, eng := range s.eng.reps {
+			b := lsf.NewBuilder(eng)
+			for id, x := range data[:live] {
+				for _, path := range eng.Filters(x).Paths {
+					b.Add(fold(path), int32(id))
+				}
+			}
+			reps[r] = b.Freeze(data[:live])
+		}
+		return func(q bitvec.Vector) []int64 {
+			var out []int64
+			for r, eng := range s.eng.reps {
+				for _, path := range eng.Filters(q).Paths {
+					if ref, ok := reps[r].PathRefHash(fold(path)); ok {
+						for _, id := range reps[r].RefIDs(ref) {
+							out = append(out, int64(id)) // auto ids are insertion positions
+						}
+					}
+				}
+			}
+			slices.Sort(out)
+			return slices.Compact(out)
+		}
+	}
 	check := func(stage string, live int) {
 		t.Helper()
-		static := buildStatic(t, params, n, data[:live])
+		want, full := folded(live), buildStatic(t, params, n, data[:live])
 		for qi, q := range qs {
-			want := static.candidates(q)
+			cands := want(q)
 			got, _ := s.CandidatesExt(q)
 			slices.Sort(got)
-			wantExt := make([]int64, len(want))
-			for i, id := range want {
-				wantExt[i] = int64(id) // auto ids are insertion positions
+			if !slices.Equal(got, cands) {
+				t.Fatalf("%s: query %d: candidates %v, want %v", stage, qi, got, cands)
 			}
-			slices.Sort(wantExt)
-			if !slices.Equal(got, wantExt) {
-				t.Fatalf("%s: query %d: candidates %v, want %v", stage, qi, got, wantExt)
+			for _, id := range full.candidates(q) {
+				if _, ok := slices.BinarySearch(cands, int64(id)); !ok {
+					t.Fatalf("%s: query %d: full-key candidate %d missing", stage, qi, id)
+				}
+			}
+			best, bestOK := Match{ID: -1, Similarity: -1}, false
+			for _, id := range cands {
+				if sim := m.Similarity(q, data[id]); sim > best.Similarity {
+					best, bestOK = Match{ID: id, Similarity: sim}, true
+				}
+			}
+			if got, _, ok := queryBest(s, q, m); ok != bestOK || ok && got != best {
+				t.Fatalf("%s: query %d: best (%+v, %v), brute force (%+v, %v)", stage, qi, got, ok, best, bestOK)
+			}
+			const threshold = 0.5
+			got1, _, ok := queryFirst(s, q, threshold, m)
+			if ok != (bestOK && best.Similarity >= threshold) {
+				t.Fatalf("%s: query %d: first found=%v, brute-force best %+v", stage, qi, ok, best)
+			}
+			if _, in := slices.BinarySearch(cands, got1.ID); ok && (!in || got1.Similarity < threshold || m.Similarity(q, data[got1.ID]) != got1.Similarity) {
+				t.Fatalf("%s: query %d: first %+v is not a passing candidate", stage, qi, got1)
 			}
 		}
 	}

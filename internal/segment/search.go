@@ -232,23 +232,23 @@ func (x *search) run(cc *lsf.CancelCheck, p *Plan) error {
 // probe streams the candidates of query k's paths [from, to) in
 // repetition r through every layer, until the query is done: the live
 // memtable builders path by path, then each frozen segment, whose
-// resolved posting spans are walked in filter order. The segment bloom
+// resolved posting spans are walked in filter order. Every layer is
+// probed by the plan's path keys alone; no path is read. The segment bloom
 // filter screens each probe; for a cold segment a skip avoids touching
 // the mapping at all. cc is checked once per path, so a sibling shard's
 // stop signal is seen within one CancelCheck stride of paths.
 func (x *search) probe(cc *lsf.CancelCheck, r int, pr *planRep, k, from, to int) error {
-	s, fs, hashes := x.s, &pr.fss[k], pr.hashes[k]
+	s, hashes := x.s, pr.hashes[k]
 	emit := func(slot int32) bool { return x.emit(k, slot) }
 	for i := from; i < to; i++ {
 		if cc != nil && cc.Check() {
 			return cc.Err()
 		}
-		path := fs.Path(i)
-		if !s.mem.each(r, hashes[i], path, emit) {
+		if !s.mem.each(r, hashes[i], emit) {
 			return nil
 		}
 		for _, mt := range s.flushing {
-			if !mt.each(r, hashes[i], path, emit) {
+			if !mt.each(r, hashes[i], emit) {
 				return nil
 			}
 		}
@@ -262,7 +262,7 @@ func (x *search) probe(cc *lsf.CancelCheck, r int, pr *planRep, k, from, to int)
 				x.stats.BloomSkips++
 				continue
 			}
-			if ref, ok := ix.PathRefHash(hashes[i], fs.Path(i)); ok && ref.Len > 0 {
+			if ref, ok := ix.PathRefHash(hashes[i]); ok && ref.Len > 0 {
 				refs = append(refs, ref)
 			}
 		}

@@ -197,11 +197,14 @@ type IndexStats struct {
 	Freezes      int64 // memtables frozen since construction
 	Compactions  int64 // merges performed since construction
 	// Storage tier sizes: segments serving from heap arenas vs from
-	// their mapped file, and the heap bytes of the resident posting
-	// arenas (the quantity Config.ResidentBytes caps).
+	// their mapped file, and the heap bytes of the index arenas — the
+	// resident segments' plus the active and flushing memtables'
+	// builders (MemtableBytes). Config.ResidentBytes caps the segments'
+	// share, ResidentBytes − MemtableBytes.
 	ResidentSegments int
 	ColdSegments     int
 	ResidentBytes    int64
+	MemtableBytes    int64
 	// WAL reports the attached write-ahead log's sizes; nil when the
 	// index runs without durability.
 	WAL *wal.Stats `json:",omitempty"`
@@ -720,7 +723,10 @@ func (s *SegmentedIndex) Stats() IndexStats {
 	}
 	for _, mt := range s.flushing {
 		st.Flushing += len(mt.slots)
+		st.MemtableBytes += mt.residentBytes()
 	}
+	st.MemtableBytes += s.mem.residentBytes()
+	st.ResidentBytes = st.MemtableBytes
 	for _, g := range s.segs {
 		st.SegmentSizes = append(st.SegmentSizes, g.size())
 		if g.mapping != nil {

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -446,8 +447,11 @@ func TestTierRaceQueries(t *testing.T) {
 
 // FuzzSegmentHeader feeds arbitrary bytes into the SKSEG1 parser: it
 // must error cleanly or produce a structurally valid container, never
-// panic or allocate unboundedly. The seed corpus includes a genuine
-// file so the mutator explores the accepted grammar.
+// panic or allocate unboundedly. The seeds include a genuine file in
+// the current (key-only) layout, written here, and genuine files in the
+// legacy layout with path sections: the legacy storage fixture and the
+// checked-in corpus entry under testdata/fuzz — so the mutator explores
+// both accepted grammars.
 func FuzzSegmentHeader(f *testing.F) {
 	dir := f.TempDir()
 	data, _ := func() ([]bitvec.Vector, []bitvec.Vector) {
@@ -478,6 +482,12 @@ func FuzzSegmentHeader(f *testing.F) {
 	}
 	f.Add(genuine)
 	f.Add(genuine[:len(genuine)/2])
+	legacy, _ := filepath.Glob(filepath.Join("testdata", "legacy-storage", "ckpt-*.seg"))
+	for _, name := range legacy {
+		if b, err := os.ReadFile(name); err == nil {
+			f.Add(b)
+		}
+	}
 	f.Add([]byte("SKSEG1"))
 	f.Add(append([]byte("SKSEG1"), make([]byte, 64)...))
 	f.Add([]byte("not a segment"))
@@ -654,4 +664,117 @@ func BenchmarkBloomSkip(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(hits)/float64(b.N), "hit-rate")
+}
+
+// segFileKeyOnly reports, per repetition of the segment file at path,
+// whether its lsf frozen blob has the key-only layout: bit1 of the
+// blob header's flags word (bytes 16–20).
+func segFileKeyOnly(t *testing.T, path string) []bool {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseSegContainer(b, 0, false)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	out := make([]bool, len(c.repBlobs))
+	for r, blob := range c.repBlobs {
+		out[r] = binary.LittleEndian.Uint32(blob[16:])&(1<<1) != 0
+	}
+	return out
+}
+
+// TestStorageLegacyFixture recovers the legacy storage fixture (three
+// checkpoints whose blobs carry path sections; the third's key table
+// stores folded keys under many buckets — see legacy_fixture_test.go)
+// beside a fresh directory the same generator writes in the current
+// layout. Served cold (zero-copy views of the legacy blobs) and
+// resident, and after compacting all three segments into one, the
+// recovered index must return the fresh one's candidate sets, probed
+// by the full key and by the folded one, and the merged segment file
+// must be written in the key-only layout.
+func TestStorageLegacyFixture(t *testing.T) {
+	legacy, fresh := t.TempDir(), t.TempDir()
+	files, err := filepath.Glob(filepath.Join("testdata", "legacy-storage", "ckpt-*.seg"))
+	if err != nil || len(files) != 3 {
+		t.Fatalf("fixture files %v (%v), want 3", files, err)
+	}
+	for _, f := range files {
+		if slices.Contains(segFileKeyOnly(t, f), true) {
+			t.Fatalf("fixture %s is not in the legacy layout", f)
+		}
+		b, err := os.ReadFile(f)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(legacy, filepath.Base(f)), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeLegacyStorage(t, fresh)
+	data := legacyData(t)
+	queries := append(slices.Clone(data), testDist(t).SampleN(hashing.NewSplitMix64(93), 20)...)
+	open := func(dir string, budget int64, maxSegments int) *SegmentedIndex {
+		t.Helper()
+		cfg := legacyConfig(t, dir)
+		cfg.ResidentBytes, cfg.MaxSegments = budget, maxSegments
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("open %s: %v", dir, err)
+		}
+		s.WaitIdle()
+		return s
+	}
+	prev := hashPath
+	defer func() { hashPath = prev }()
+	compare := func(stage string, got, want *SegmentedIndex) {
+		t.Helper()
+		for name, key := range map[string]func([]uint32) uint64{"full": lsf.HashPath, "folded": legacyFold} {
+			hashPath = key
+			total := 0
+			for qi, q := range queries {
+				g, _ := got.CandidatesExt(q)
+				w, _ := want.CandidatesExt(q)
+				slices.Sort(g)
+				slices.Sort(w)
+				if !slices.Equal(g, w) {
+					t.Fatalf("%s, %s key: query %d: candidates %v, fresh build %v", stage, name, qi, g, w)
+				}
+				total += len(g)
+			}
+			if total < legacyPer {
+				t.Fatalf("%s, %s key: %d candidates over %d queries: the check is vacuous", stage, name, total, len(queries))
+			}
+		}
+		hashPath = prev
+	}
+	for _, tier := range []struct {
+		name   string
+		budget int64
+		cold   int
+	}{{"cold", 1, 3}, {"resident", 0, 0}} {
+		got, want := open(legacy, tier.budget, 100), open(fresh, tier.budget, 100)
+		if st := got.Stats(); st.Segments != 3 || st.ColdSegments != tier.cold || st.Live != len(data) {
+			t.Fatalf("%s: recovered %+v", tier.name, st)
+		}
+		compare(tier.name, got, want)
+		got.Close()
+		want.Close()
+	}
+	got, want := open(legacy, 0, 1), open(fresh, 0, 1)
+	defer got.Close()
+	defer want.Close()
+	if st := got.Stats(); st.Segments != 1 || st.Compactions != 2 {
+		t.Fatalf("compaction left %+v", st)
+	}
+	compare("compacted", got, want)
+	merged, err := filepath.Glob(filepath.Join(legacy, "ckpt-*.seg"))
+	if err != nil || len(merged) != 1 {
+		t.Fatalf("segment files after compaction: %v (%v), want 1", merged, err)
+	}
+	if keyOnly := segFileKeyOnly(t, merged[0]); slices.Contains(keyOnly, false) {
+		t.Fatalf("merged segment file layout key-only = %v, want all", keyOnly)
+	}
 }

@@ -129,7 +129,7 @@ func (m *Metrics) registerServerGauges(s *Server) {
 		stat(func(st Stats) float64 { return float64(st.ResidentSegments) }))
 	reg.GaugeFunc("skewsim_index_cold_segments", "Mmap-backed cold frozen segments across shards.",
 		stat(func(st Stats) float64 { return float64(st.ColdSegments) }))
-	reg.GaugeFunc("skewsim_index_resident_bytes", "Heap bytes held by resident frozen-segment arenas.",
+	reg.GaugeFunc("skewsim_index_resident_bytes", "Heap bytes held by index arenas: resident frozen segments and memtables.",
 		stat(func(st Stats) float64 { return float64(st.ResidentBytes) }))
 	reg.GaugeFunc("skewsim_wal_bytes", "Live write-ahead log bytes across shards.",
 		stat(func(st Stats) float64 { return float64(st.WALBytes) }))

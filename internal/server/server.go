@@ -470,7 +470,8 @@ type Stats struct {
 	WALRecords int64
 	WALBytes   int64
 	// Storage tiering across shards: heap-resident vs mmap-backed cold
-	// frozen segments and the heap bytes the resident ones hold.
+	// frozen segments, and the heap bytes the resident ones and the
+	// memtables hold (segment.IndexStats.ResidentBytes).
 	ResidentSegments int
 	ColdSegments     int
 	ResidentBytes    int64
