@@ -430,8 +430,8 @@ func OpenFrozenBytes(b []byte, engine *Engine, data []bitvec.Vector, zeroCopy bo
 
 // mergeKeys rebuilds a legacy index whose table stores a key under
 // several buckets into one resident index with one bucket per key,
-// postings concatenated in bucket order: what a fresh build of the
-// same postings makes.
+// holding those buckets' postings in bucket order: the candidates a
+// fresh build of the same vectors returns.
 func (ix *Index) mergeKeys() *Index {
 	b := NewBuilder(ix.engine)
 	ix.ForEachBucket(b.AddBucket)

@@ -12,9 +12,8 @@ import (
 // buildSegment freezes a rotated (immutable) memtable into a frozenSeg:
 // each repetition's live builder counting-sorts its postings (already
 // local ids) into CSR form over the memtable's vectors, keeping its key
-// table — no bucket is replayed and no path re-hashed,
-// and bucket order is first sight, so equal insert sequences freeze to
-// equal segments. The memtable stays readable throughout: queries keep
+// table — no bucket is replayed and no path re-hashed, and bucket order
+// is first sight, so equal insert sequences freeze to equal segments. The memtable stays readable throughout: queries keep
 // probing it in the flushing list until the segment is installed.
 // Tombstoned vectors are kept (their postings reference local ids);
 // compaction reclaims them. Returns nil for an empty memtable.

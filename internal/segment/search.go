@@ -233,9 +233,9 @@ func (x *search) run(cc *lsf.CancelCheck, p *Plan) error {
 // repetition r through every layer, until the query is done: the live
 // memtable builders path by path, then each frozen segment, whose
 // resolved posting spans are walked in filter order. Every layer is
-// probed by the plan's path keys alone; no path is read. The segment bloom
-// filter screens each probe; for a cold segment a skip avoids touching
-// the mapping at all. cc is checked once per path, so a sibling shard's
+// probed by the plan's path keys alone; no path is read. The segment
+// bloom filter screens each probe; for a cold segment a skip avoids
+// touching the mapping at all. cc is checked once per path, so a sibling shard's
 // stop signal is seen within one CancelCheck stride of paths.
 func (x *search) probe(cc *lsf.CancelCheck, r int, pr *planRep, k, from, to int) error {
 	s, hashes := x.s, pr.hashes[k]

@@ -471,10 +471,12 @@ type Stats struct {
 	WALBytes   int64
 	// Storage tiering across shards: heap-resident vs mmap-backed cold
 	// frozen segments, and the heap bytes the resident ones and the
-	// memtables hold (segment.IndexStats.ResidentBytes).
+	// memtables hold (segment.IndexStats.ResidentBytes), the memtables'
+	// share apart.
 	ResidentSegments int
 	ColdSegments     int
 	ResidentBytes    int64
+	MemtableBytes    int64
 	PerShard         []segment.IndexStats
 }
 
@@ -493,6 +495,7 @@ func (s *Server) Stats() Stats {
 		st.ResidentSegments += is.ResidentSegments
 		st.ColdSegments += is.ColdSegments
 		st.ResidentBytes += is.ResidentBytes
+		st.MemtableBytes += is.MemtableBytes
 		if is.WAL != nil {
 			st.WALRecords += is.WAL.Records
 			st.WALBytes += is.WAL.Bytes
