@@ -35,9 +35,18 @@ func TestLiveBuilderCollisions(t *testing.T) {
 	bl, static := NewLiveBuilder(e), NewBuilder(e)
 	var paths [][]uint32
 	seen := map[string]bool{}
+	for id, x := range data {
+		for _, path := range e.Filters(x).Paths {
+			if !seen[PathKey(path)] {
+				seen[PathKey(path)] = true
+				paths = append(paths, path)
+			}
+			static.Add(key(path), int32(id))
+		}
+	}
+	staticIx := static.Freeze(data)
 	// want is the folded static build's bucket of h, over the ids added
 	// so far (through id last).
-	var staticIx *Index
 	want := func(h uint64, last int32) []int32 {
 		r, ok := staticIx.PathRefHash(h)
 		if !ok {
@@ -51,16 +60,6 @@ func TestLiveBuilderCollisions(t *testing.T) {
 		}
 		return out
 	}
-	for id, x := range data {
-		for _, path := range e.Filters(x).Paths {
-			if !seen[PathKey(path)] {
-				seen[PathKey(path)] = true
-				paths = append(paths, path)
-			}
-			static.Add(key(path), int32(id))
-		}
-	}
-	staticIx = static.Freeze(data)
 	check := func(stage string, last int32, lookup func(h uint64) []int32) {
 		t.Helper()
 		for h := uint64(0); h < 64; h++ {
@@ -82,7 +81,7 @@ func TestLiveBuilderCollisions(t *testing.T) {
 		}
 	}
 	if len(paths) < 256 {
-		t.Fatalf("only %d distinct paths: the table never grew past a few doublings", len(paths))
+		t.Fatalf("only %d distinct paths: too few to crowd 64 keys", len(paths))
 	}
 	last := int32(len(data) - 1)
 	ix := bl.Freeze(data)
