@@ -10,11 +10,13 @@ GO ?= go
 # (append path, batch framing, group commit).
 BENCH_PATTERN ?= QueryPath|LSFTraversal|BuildSkewSearch|BuildChosenPath|Intersect|Verify|SerializeIndex|Segmented|Shard|WAL|PostingDecode|SegfileOpen|BloomSkip
 
-# The JSON perf record for this PR's benchmark snapshot, the baseline it
-# is guarded against, and the number of samples per benchmark (benchjson
-# keeps the per-benchmark minimum — single-sample records were noisy
-# enough to fake 18% swings on allocation-free kernels between PRs).
-BENCH_OUT ?= BENCH_PR10.json
+# The JSON perf record a bench-json run writes (git-ignored: the
+# checked-in BENCH_PR*.json records are history, not outputs), the
+# baseline it is guarded against, and the number of samples per
+# benchmark (benchjson keeps the per-benchmark minimum — single-sample
+# records were noisy enough to fake 18% swings on allocation-free
+# kernels between PRs).
+BENCH_OUT ?= bench.json
 BENCH_PREV ?= BENCH_PR9.json
 BENCH_COUNT ?= 5
 
@@ -22,12 +24,26 @@ BENCH_COUNT ?= 5
 
 all: build vet test
 
+# Packages no entry point imports that stay anyway: the module root
+# (package doc and the root benchmarks) and the test-only goroutine-leak
+# helper.
+REACH_ALLOW = skewsim skewsim/internal/leakcheck
+
 # The documentation gate CI's docs job runs: every relative link and
-# anchor in the markdown set must resolve (cmd/mdlint), and the godoc
-# examples/CLIs must still compile so doc snippets cannot rot.
+# anchor in the markdown set must resolve (cmd/mdlint), the CLIs must
+# compile, and every package must be reachable: imported by a program
+# under ./cmd or by ./bench, or named in REACH_ALLOW. A package nothing
+# runs is deleted, not kept for completeness.
 docs:
 	$(GO) run ./cmd/mdlint README.md API.md DESIGN.md EXPERIMENTS.md ROADMAP.md PAPER.md
-	$(GO) build ./examples/... ./cmd/...
+	$(GO) build ./cmd/...
+	@reach=" $$($(GO) list -deps ./cmd/... ./bench | tr '\n' ' ') $(REACH_ALLOW) "; \
+	pkgs=$$($(GO) list ./...) || exit 1; st=0; \
+	for p in $$pkgs; do \
+		case "$$reach" in *" $$p "*) ;; \
+		*) echo "unreachable package $$p: no program under ./cmd or ./bench imports it (delete it or add it to REACH_ALLOW)" >&2; st=1 ;; \
+		esac; \
+	done; exit $$st
 
 build:
 	$(GO) build ./...

@@ -25,10 +25,8 @@ import (
 	"skewsim/internal/experiments"
 	"skewsim/internal/hashing"
 	"skewsim/internal/lsf"
-	"skewsim/internal/minhash"
 	"skewsim/internal/prefix"
 	"skewsim/internal/segment"
-	"skewsim/internal/splitsearch"
 	"skewsim/internal/verify"
 )
 
@@ -224,19 +222,6 @@ func BenchmarkQueryChosenPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Query(w.Queries[i%len(w.Queries)])
-	}
-}
-
-func BenchmarkQueryMinHash(b *testing.B) {
-	d, w := benchWorkload(b, 1000)
-	_ = d
-	ix, err := minhash.Build(w.Data, minhash.Params{K: 3, L: 16}, minhash.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.QueryBest(w.Queries[i%len(w.Queries)])
 	}
 }
 
@@ -578,33 +563,6 @@ func BenchmarkSerializeIndex(b *testing.B) {
 			back.Close()
 		}
 		b.ReportMetric(float64(snap.Len()), "bytes")
-	})
-}
-
-func BenchmarkSplitSearchVsSingle(b *testing.B) {
-	const b1 = 0.6
-	d := dist.MustProduct(dist.TwoBlock(200, 0.3, 6000, 0.01))
-	w, err := datagen.NewAdversarialWorkload(d, 600, 30, b1, 23)
-	if err != nil {
-		b.Fatal(err)
-	}
-	single, err := core.BuildAdversarial(d, w.Data, b1, core.Options{Seed: 2, Repetitions: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	split, err := splitsearch.Build(d, w.Data, b1, splitsearch.Options{Seed: 2, Repetitions: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("skewsearch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			single.Query(w.Queries[i%len(w.Queries)])
-		}
-	})
-	b.Run("splitsearch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			split.Query(w.Queries[i%len(w.Queries)])
-		}
 	})
 }
 

@@ -5,7 +5,7 @@
 // The paper's data structure — a skew-adaptive locality-sensitive
 // filtering scheme — lives in internal/core (SkewSearch), built on the
 // shared filtering engine in internal/lsf. Baselines (Chosen Path,
-// MinHash LSH, prefix filtering, brute force), the probabilistic data
+// prefix filtering, brute force), the probabilistic data
 // model, exponent solvers, dataset generators, a similarity-join driver,
 // and the experiment harness that regenerates every table and figure of
 // the paper are in the sibling internal packages. Candidate
@@ -24,8 +24,8 @@
 //
 // Quick start:
 //
-//	go run ./examples/quickstart
-//	go run ./examples/serving       # online insert/delete/query
+//	go test -run Example -v ./internal/core     # index a skewed corpus, answer planted queries
+//	go test -run Example -v ./internal/segment  # online insert and search
 //	go run ./cmd/experiments        # regenerate all paper artifacts
 //	go run ./cmd/skewsimd           # HTTP serving daemon (see API.md)
 //	go test -bench=. -benchmem      # benchmark harness

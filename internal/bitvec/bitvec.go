@@ -142,8 +142,8 @@ const gallopRatio = 8
 // under D, where both lists concentrate around C log n — use a linear
 // merge; when one vector is ≥ gallopRatio× longer than the other (the
 // skewed workloads this library targets: a rare-item query against a
-// frequent-item data vector, restricted vectors in splitsearch), each
-// element of the short list gallops through the long one instead.
+// frequent-item data vector), each element of the short list gallops
+// through the long one instead.
 func (v Vector) IntersectionSize(w Vector) int {
 	a, b := v.bits, w.bits
 	if len(a) > len(b) {

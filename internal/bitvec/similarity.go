@@ -89,9 +89,6 @@ func BraunBlanquet(v, w Vector) float64 {
 	return BraunBlanquetMeasure.Similarity(v, w)
 }
 
-// Jaccard returns |v∩w| / |v∪w|.
-func Jaccard(v, w Vector) float64 { return JaccardMeasure.Similarity(v, w) }
-
 // Overlap returns |v∩w| / min(|v|, |w|).
 func Overlap(v, w Vector) float64 { return OverlapMeasure.Similarity(v, w) }
 

@@ -21,7 +21,7 @@ func TestBraunBlanquetKnownValues(t *testing.T) {
 func TestJaccardKnownValues(t *testing.T) {
 	a := New(1, 2, 3)
 	b := New(2, 3, 4)
-	if got := Jaccard(a, b); !almostEqual(got, 0.5, 1e-12) {
+	if got := JaccardMeasure.Similarity(a, b); !almostEqual(got, 0.5, 1e-12) {
 		t.Errorf("Jaccard = %v, want 0.5", got)
 	}
 }
@@ -91,7 +91,7 @@ func TestMeasureOrderingRelations(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randomVector(r, 100, 40)
 		b := randomVector(r, 100, 40)
-		j := Jaccard(a, b)
+		j := JaccardMeasure.Similarity(a, b)
 		bb := BraunBlanquet(a, b)
 		ov := Overlap(a, b)
 		di := Dice(a, b)

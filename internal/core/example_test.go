@@ -1,8 +1,4 @@
-// Quickstart: build a SkewSearch index over vectors drawn from a skewed
-// product distribution, then answer a correlated query.
-//
-// Run with: go run ./examples/quickstart
-package main
+package core_test
 
 import (
 	"fmt"
@@ -13,11 +9,12 @@ import (
 	"skewsim/internal/dist"
 )
 
-func main() {
+// Build a SkewSearch index over vectors drawn from a skewed product
+// distribution, then answer planted α-correlated queries.
+func ExampleBuildCorrelated() {
 	// A skewed distribution: 400 common items (p = 0.2) and 3200 rare
 	// items (p = 0.025). Expected set size Σp = 160.
-	probs := dist.TwoBlock(400, 0.2, 3200, 0.025)
-	d, err := dist.NewProduct(probs)
+	d, err := dist.NewProduct(dist.TwoBlock(400, 0.2, 3200, 0.025))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,4 +53,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("predicted query exponent rho = %.3f (cost ~ n^rho per repetition)\n", rho)
+	// Output:
+	// indexed 1000 vectors with 11 filter repetitions (threshold b1 = 0.577)
+	// query 0: HIT (planted target)  id=0  similarity=0.782  work: 13 filters, 1 candidates (of 1000 vectors)
+	// query 1: HIT (planted target)  id=200  similarity=0.762  work: 11 filters, 2 candidates (of 1000 vectors)
+	// query 2: HIT (planted target)  id=400  similarity=0.722  work: 20 filters, 2 candidates (of 1000 vectors)
+	// query 3: HIT (planted target)  id=600  similarity=0.736  work: 19 filters, 7 candidates (of 1000 vectors)
+	// query 4: HIT (planted target)  id=800  similarity=0.745  work: 2 filters, 1 candidates (of 1000 vectors)
+	// predicted query exponent rho = 0.096 (cost ~ n^rho per repetition)
 }

@@ -207,17 +207,6 @@ func TestEstimateProductInfersDimension(t *testing.T) {
 	}
 }
 
-func TestSortedFrequencies(t *testing.T) {
-	in := []float64{0.1, 0.9, 0.5}
-	got := SortedFrequencies(in)
-	if got[0] != 0.9 || got[1] != 0.5 || got[2] != 0.1 {
-		t.Errorf("not sorted descending: %v", got)
-	}
-	if in[0] != 0.1 {
-		t.Error("input mutated")
-	}
-}
-
 func TestSampleCorrelatedMarginals(t *testing.T) {
 	d := MustProduct(Uniform(300, 0.1))
 	rng := hashing.NewSplitMix64(11)

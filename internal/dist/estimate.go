@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"skewsim/internal/bitvec"
 )
@@ -55,13 +53,4 @@ func EstimateProduct(data []bitvec.Vector, dim int) (*Product, error) {
 		return nil, fmt.Errorf("dist: data has no bits and dim = %d", dim)
 	}
 	return NewProduct(freqs)
-}
-
-// SortedFrequencies returns a copy of probs sorted in decreasing order —
-// the frequency spectrum by rank, as plotted in Figure 2.
-func SortedFrequencies(probs []float64) []float64 {
-	out := make([]float64, len(probs))
-	copy(out, probs)
-	slices.SortFunc(out, func(a, b float64) int { return cmp.Compare(b, a) })
-	return out
 }

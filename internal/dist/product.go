@@ -10,7 +10,7 @@
 //   - the item-frequency profiles the experiments instantiate (Uniform,
 //     Zipf, Harmonic, TwoBlock, Fig1Profile, PiecewiseZipf);
 //   - empirical estimation from data (§9: EstimateProduct,
-//     EstimateFrequencies, SortedFrequencies);
+//     EstimateFrequencies);
 //   - independence diagnostics (IndependenceRatio and its mass-weighted
 //     variant), the measurement behind the paper's Table 1.
 package dist

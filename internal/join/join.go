@@ -17,7 +17,7 @@ import (
 )
 
 // CandidateSource is the minimal interface the driver needs from an
-// index: candidate generation plus access to the indexed data. All five
+// index: candidate generation plus access to the indexed data. All four
 // index types in this library implement it.
 type CandidateSource interface {
 	Candidates(q bitvec.Vector) []int32
@@ -77,7 +77,7 @@ func Run(index CandidateSource, r []bitvec.Vector, threshold float64, m bitvec.M
 }
 
 // RunParallel is Run with queries fanned out over `workers` goroutines
-// (<= 0 selects GOMAXPROCS). All five index types answer read-only
+// (<= 0 selects GOMAXPROCS). All four index types answer read-only
 // queries, so sharing the index is safe — each worker draws its own
 // pooled visited set from the allocation-light candidate pipeline — and
 // both candidate generation and verification run inside the workers,

@@ -260,7 +260,7 @@ func (v *Visited) FirstVisit(id int32) bool {
 // VisitedPool recycles Visited sets so concurrent queries each get their
 // own and steady-state queries allocate nothing for dedup. The zero
 // value is ready to use; every consumer of Visited in this codebase
-// (lsf, segment, the baselines, splitsearch) shares this one implementation.
+// (lsf, segment, the baselines) shares this one implementation.
 type VisitedPool struct {
 	pool sync.Pool
 }
@@ -385,8 +385,8 @@ func (ix *Index) AppendFilterRefs(q bitvec.Vector, fs *FilterSet, refs []Posting
 // ForEachCandidate streams the distinct data ids sharing at least one
 // filter with q into sink, in first-encounter order, until sink returns
 // false. It is the exported form of the traversal core, letting the
-// layers above (the baselines, splitsearch) consume candidates without
-// materializing per-repetition slices.
+// Chosen Path baseline consume candidates without materializing
+// per-repetition slices.
 func (ix *Index) ForEachCandidate(q bitvec.Vector, sink func(id int32) bool) QueryStats {
 	var stats QueryStats
 	ix.traverse(q, &stats, sink)

@@ -1,6 +1,8 @@
 package lsf_test
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 )
 
 // pathID is a path spelled out in full — its length, then its
-// elements 16 bits each — a map key that identifies the path itself,
+// elements 16 bits each — a sort key that identifies the path itself,
 // with no hashing of the elements involved.
 type pathID [4]uint64
 
@@ -31,6 +33,81 @@ func newPathID(t *testing.T, path []uint32) pathID {
 	return id
 }
 
+// pathPosting is one reference entry: data vector id stored under path.
+type pathPosting struct {
+	path pathID
+	id   int32
+}
+
+// comparePathIDs orders paths word by word, the order newPathReference
+// sorts them in.
+func comparePathIDs(a, b pathID) int {
+	for i := range a {
+		if c := cmp.Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// pathReference is the path-keyed reference index: the distinct paths in
+// sorted order, and each one's ids in insertion order.
+type pathReference struct {
+	paths  []pathID
+	starts []int // ids[starts[j]:starts[j+1]] are paths[j]'s
+	ids    []int32
+}
+
+// newPathReference groups postings, appended in id order, by path. It
+// sorts them with an LSD radix sort over the paths' 16-bit digits in
+// comparePathIDs order; every pass is stable, so each path's ids keep
+// their order. postings is reordered.
+func newPathReference(postings []pathPosting) *pathReference {
+	tmp := make([]pathPosting, len(postings))
+	var count [1 << 16]int
+	for w := len(pathID{}) - 1; w >= 0; w-- {
+		for shift := 0; shift < 64; shift += 16 {
+			clear(count[:])
+			for _, p := range postings {
+				count[p.path[w]>>shift&0xffff]++
+			}
+			if count[0] == len(postings) {
+				continue // this digit is 0 in every path
+			}
+			sum := 0
+			for i, c := range count {
+				count[i] = sum
+				sum += c
+			}
+			for _, p := range postings {
+				digit := p.path[w] >> shift & 0xffff
+				tmp[count[digit]] = p
+				count[digit]++
+			}
+			postings, tmp = tmp, postings
+		}
+	}
+	ref := &pathReference{ids: make([]int32, len(postings))}
+	for i, p := range postings {
+		if i == 0 || p.path != postings[i-1].path {
+			ref.paths = append(ref.paths, p.path)
+			ref.starts = append(ref.starts, i)
+		}
+		ref.ids[i] = p.id
+	}
+	ref.starts = append(ref.starts, len(postings))
+	return ref
+}
+
+// lookup returns the ids stored under path, in insertion order.
+func (ref *pathReference) lookup(path pathID) []int32 {
+	j, ok := slices.BinarySearchFunc(ref.paths, path, comparePathIDs)
+	if !ok {
+		return nil
+	}
+	return ref.ids[ref.starts[j]:ref.starts[j+1]]
+}
+
 // TestKeysNeverMergeOnBenchmarkCorpora builds the end-to-end
 // benchmark's corpora at full size — dense Fig. 1 and sparse Zipf
 // vectors with planted queries, seeds 1–3, under the engines the
@@ -38,7 +115,7 @@ func newPathID(t *testing.T, path []uint32) pathID {
 // to a path-keyed reference kept here: no two distinct paths share a
 // 64-bit key (zero merges), so the buckets are exactly the distinct
 // paths and every query's candidate occurrences equal the reference's,
-// in order.
+// in order. The six (corpus, seed) cases run as parallel subtests.
 func TestKeysNeverMergeOnBenchmarkCorpora(t *testing.T) {
 	const queries = 200
 	for _, c := range []struct {
@@ -55,52 +132,55 @@ func TestKeysNeverMergeOnBenchmarkCorpora(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := uint64(1); seed <= 3; seed++ {
-			cw, err := datagen.NewCorrelatedWorkload(d, c.n, queries, 2.0/3.0, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buckets := 0 // the previous repetition's, to presize the reference
-			for r, p := range params {
-				eng, err := lsf.NewEngine(c.n, p)
+			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
+				t.Parallel()
+				cw, err := datagen.NewCorrelatedWorkload(d, c.n, queries, 2.0/3.0, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// One filter generation per vector feeds both the index (as
-				// BuildIndex does) and the reference.
-				b, ref := lsf.NewBuilder(eng), make(map[pathID][]int32, buckets+buckets/4)
-				var fs lsf.FilterSet
-				for id, x := range cw.Data {
-					fs.Reset()
-					eng.FiltersInto(x, &fs)
-					for i := 0; i < fs.Len(); i++ {
-						path := fs.Path(i)
-						b.Add(lsf.HashPath(path), int32(id))
-						k := newPathID(t, path)
-						ref[k] = append(ref[k], int32(id))
+				var postings []pathPosting // reused across repetitions
+				for r, p := range params {
+					eng, err := lsf.NewEngine(c.n, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// One filter generation per vector feeds both the index
+					// (as BuildIndex does) and the reference.
+					b := lsf.NewBuilder(eng)
+					postings = postings[:0]
+					var fs lsf.FilterSet
+					for id, x := range cw.Data {
+						fs.Reset()
+						eng.FiltersInto(x, &fs)
+						for i := 0; i < fs.Len(); i++ {
+							path := fs.Path(i)
+							b.Add(lsf.HashPath(path), int32(id))
+							postings = append(postings, pathPosting{newPathID(t, path), int32(id)})
+						}
+					}
+					ix := b.Freeze(cw.Data)
+					ref := newPathReference(postings)
+					if got := ix.Stats().Buckets; got != len(ref.paths) {
+						t.Fatalf("rep %d: %d buckets for %d distinct paths", r, got, len(ref.paths))
+					}
+					var got, want []int32
+					var refs []lsf.PostingRef
+					for k, q := range cw.Queries {
+						refs, _, _ = ix.AppendFilterRefs(q, &fs, refs[:0])
+						got, want = got[:0], want[:0]
+						for _, rf := range refs {
+							got = append(got, ix.RefIDs(rf)...)
+						}
+						for i := 0; i < fs.Len(); i++ {
+							want = append(want, ref.lookup(newPathID(t, fs.Path(i)))...)
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("rep %d query %d: %d candidate occurrences, path-keyed reference %d",
+								r, k, len(got), len(want))
+						}
 					}
 				}
-				ix := b.Freeze(cw.Data)
-				if got := ix.Stats().Buckets; got != len(ref) {
-					t.Fatalf("%s seed %d rep %d: %d buckets for %d distinct paths", c.name, seed, r, got, len(ref))
-				}
-				buckets = len(ref)
-				var got, want []int32
-				var refs []lsf.PostingRef
-				for k, q := range cw.Queries {
-					refs, _, _ = ix.AppendFilterRefs(q, &fs, refs[:0])
-					got, want = got[:0], want[:0]
-					for _, rf := range refs {
-						got = append(got, ix.RefIDs(rf)...)
-					}
-					for i := 0; i < fs.Len(); i++ {
-						want = append(want, ref[newPathID(t, fs.Path(i))]...)
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s seed %d rep %d query %d: %d candidate occurrences, path-keyed reference %d",
-							c.name, seed, r, k, len(got), len(want))
-					}
-				}
-			}
+			})
 		}
 	}
 }
