@@ -18,7 +18,6 @@ import (
 
 	"skewsim/internal/bitvec"
 	"skewsim/internal/bruteforce"
-	"skewsim/internal/chosenpath"
 	"skewsim/internal/core"
 	"skewsim/internal/datagen"
 	"skewsim/internal/dist"
@@ -193,7 +192,7 @@ func BenchmarkBuildChosenPath(b *testing.B) {
 	b1 := d.ExpectedCorrelatedBraunBlanquet(2.0 / 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := chosenpath.Build(w.Data, b1*0.85, b2, chosenpath.Options{Seed: uint64(i), Repetitions: 4}); err != nil {
+		if _, err := core.BuildChosenPath(w.Data, b1*0.85, b2, core.Options{Seed: uint64(i), Repetitions: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,7 +214,7 @@ func BenchmarkQueryChosenPath(b *testing.B) {
 	d, w := benchWorkload(b, 1000)
 	b2 := d.ExpectedBraunBlanquet()
 	b1 := d.ExpectedCorrelatedBraunBlanquet(2.0 / 3)
-	ix, err := chosenpath.Build(w.Data, b1*0.85, b2, chosenpath.Options{Seed: 1, Repetitions: 4})
+	ix, err := core.BuildChosenPath(w.Data, b1*0.85, b2, core.Options{Seed: 1, Repetitions: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -302,7 +301,7 @@ func ablationEngines(b *testing.B, d *dist.Product, n int, alpha float64, seed u
 		return (1 + delta) / denom
 	}
 	b2 := d.ExpectedBraunBlanquet()
-	k := chosenpath.PathLength(n, b2)
+	k := core.PathLength(n, b2)
 	mk := func(stop lsf.StopRule, depth int) *lsf.Engine {
 		e, err := lsf.NewEngine(n, lsf.Params{
 			Seed: seed, Probs: d.Probs(), Threshold: threshold, Stop: stop, MaxDepth: depth,
@@ -509,9 +508,8 @@ func BenchmarkLSFTraversal(b *testing.B) {
 	b.Run("candidate-ids-fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		// The allocating entry point (a fresh result slice per call),
-		// kept measured so regressions in CandidateIDs itself — still
-		// the public API used by chosenpath and the experiments — are
-		// not hidden by the appending benchmark above.
+		// kept measured so regressions in CandidateIDs itself are not
+		// hidden by the appending benchmark above.
 		for i := 0; i < b.N; i++ {
 			ix.CandidateIDs(w.Queries[i%len(w.Queries)])
 		}
@@ -564,24 +562,4 @@ func BenchmarkSerializeIndex(b *testing.B) {
 		}
 		b.ReportMetric(float64(snap.Len()), "bytes")
 	})
-}
-
-func BenchmarkClusterWeigher(b *testing.B) {
-	probs := make([]float64, 800)
-	cluster := make([]int32, 800)
-	for j := 0; j < 100; j++ {
-		for k := 0; k < 8; k++ {
-			probs[j*8+k] = 0.02
-			cluster[j*8+k] = int32(j)
-		}
-	}
-	cw, err := lsf.NewClusterWeigher(probs, cluster, 0.999)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := []uint32{0, 1, 8, 16}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cw.LogInvP(path, uint32(i%800))
-	}
 }

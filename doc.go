@@ -4,8 +4,9 @@
 //
 // The paper's data structure — a skew-adaptive locality-sensitive
 // filtering scheme — lives in internal/core (SkewSearch), built on the
-// shared filtering engine in internal/lsf. Baselines (Chosen Path,
-// prefix filtering, brute force), the probabilistic data
+// shared filtering engine in internal/lsf. internal/core also builds
+// the Chosen Path baseline on that engine; the other baselines (prefix
+// filtering, brute force), the probabilistic data
 // model, exponent solvers, dataset generators, a similarity-join driver,
 // and the experiment harness that regenerates every table and figure of
 // the paper are in the sibling internal packages. Candidate

@@ -18,6 +18,16 @@
 // without replacement. A single filter instance succeeds with probability
 // Ω(1/log n) (Lemma 5), so the index keeps R ≈ log n independent
 // repetitions and queries them in sequence.
+//
+// The same engine and search loop also run the baseline the paper
+// improves on, Chosen Path (Christiani and Pagh, STOC 2017), as the
+// FixedDepth scheme (BuildChosenPath): a constant, skew-oblivious
+// threshold s(x, j, i) = 1/(b1·|x|) and a fixed path length
+// k = ⌈ln n / ln(1/b2)⌉ in place of the stopping rule. Its exponent is
+// ρ = log(b1)/log(b2) whatever the data distribution, which is exactly
+// the weakness SkewSearch addresses. Unlike the original, its paths
+// sample without replacement too; for the sparse regimes both papers
+// target (|x| ≫ k) the difference vanishes.
 package core
 
 import (
@@ -43,6 +53,8 @@ const (
 	Adversarial Mode = iota
 	// Correlated mode targets planted queries q ~ D_α(x) (Theorem 1).
 	Correlated
+	// FixedDepth is the Chosen Path baseline (BuildChosenPath).
+	FixedDepth
 )
 
 // String names the mode.
@@ -52,6 +64,8 @@ func (m Mode) String() string {
 		return "adversarial"
 	case Correlated:
 		return "correlated"
+	case FixedDepth:
+		return "fixed-depth"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -69,13 +83,10 @@ type Options struct {
 	// the paper's measure.
 	Measure bitvec.Measure
 	// MaxDepth and MaxFiltersPerVector are forwarded to the engine
-	// (0 = engine defaults).
+	// (0 = engine defaults). FixedDepth mode ignores MaxDepth: its
+	// paths are k elements long.
 	MaxDepth            int
 	MaxFiltersPerVector int
-	// Weigher overrides the stopping rule's path-information accounting
-	// (nil = the paper's independent-coordinates rule). Use
-	// lsf.NewClusterWeigher for the §9 correlation-aware extension.
-	Weigher lsf.PathWeigher
 }
 
 // Result of a query.
@@ -88,14 +99,15 @@ type Result struct {
 	Stats      segment.QueryStats
 }
 
-// Index is a built SkewSearch structure: the paper's parameters over a
-// bulk-loaded segment.SegmentedIndex, whose one search loop answers
-// every query. The index owns no goroutine and needs no Close.
+// Index is a built SkewSearch or Chosen Path structure: the scheme's
+// parameters over a bulk-loaded segment.SegmentedIndex, whose one search
+// loop answers every query. The index owns no goroutine and needs no
+// Close.
 type Index struct {
 	mode      Mode
-	d         *dist.Product
-	alpha     float64 // correlated mode only
-	threshold float64 // verification threshold b1
+	d         *dist.Product // nil in FixedDepth mode
+	alpha     float64       // correlated mode only
+	threshold float64       // verification threshold b1
 	measure   bitvec.Measure
 	seg       *segment.SegmentedIndex
 }
@@ -118,11 +130,46 @@ func BuildCorrelated(d *dist.Product, data []bitvec.Vector, alpha float64, opt O
 	return build(Correlated, d, data, alpha, opt)
 }
 
+// BuildChosenPath preprocesses data as the Chosen Path structure for
+// (b1, b2)-approximate similarity search, 0 < b2 < b1 ≤ 1: paths of
+// PathLength(len(data), b2) elements, each element taken with
+// probability min(1, 1/(b1·|x|)), and candidates verified at b1. It
+// needs no distribution.
+func BuildChosenPath(data []bitvec.Vector, b1, b2 float64, opt Options) (*Index, error) {
+	if !(0 < b2 && b2 < b1 && b1 <= 1) {
+		return nil, fmt.Errorf("core: need 0 < b2 < b1 <= 1, got b1=%v b2=%v", b1, b2)
+	}
+	if len(data) == 0 {
+		return nil, errors.New("core: empty dataset")
+	}
+	k := PathLength(len(data), b2)
+	// The constant s(x, j, i): neither the depth nor the element moves it.
+	threshold := func(x bitvec.Vector, _ int, _ uint32) float64 {
+		return min(1, 1/(b1*float64(x.Len())))
+	}
+	params, err := repParams(len(data), opt, lsf.Params{
+		Threshold:           threshold,
+		Stop:                lsf.FixedDepthStopRule(k),
+		MaxDepth:            k + 1,
+		MaxFiltersPerVector: opt.MaxFiltersPerVector,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return load(FixedDepth, nil, data, b1, params, opt.Measure)
+}
+
+// PathLength returns Chosen Path's fixed depth k = ⌈ln n / ln(1/b2)⌉
+// for dataset size n and far similarity b2 (1 when n < 2).
+func PathLength(n int, b2 float64) int {
+	if n < 2 {
+		return 1
+	}
+	return max(1, int(math.Ceil(math.Log(float64(n))/math.Log(1/b2))))
+}
+
 // build bulk-loads data under the mode's engines; param is b1 or α.
 func build(mode Mode, d *dist.Product, data []bitvec.Vector, param float64, opt Options) (*Index, error) {
-	if d == nil {
-		return nil, errors.New("core: nil distribution")
-	}
 	if len(data) == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
@@ -130,6 +177,11 @@ func build(mode Mode, d *dist.Product, data []bitvec.Vector, param float64, opt 
 	if err != nil {
 		return nil, err
 	}
+	return load(mode, d, data, param, params, opt.Measure)
+}
+
+// load bulk-loads data under the repetitions' params; param is b1 or α.
+func load(mode Mode, d *dist.Product, data []bitvec.Vector, param float64, params []lsf.Params, m bitvec.Measure) (*Index, error) {
 	threshold, err := VerificationThreshold(mode, param)
 	if err != nil {
 		return nil, err
@@ -138,7 +190,7 @@ func build(mode Mode, d *dist.Product, data []bitvec.Vector, param float64, opt 
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{mode: mode, d: d, threshold: threshold, measure: opt.Measure, seg: seg}
+	ix := &Index{mode: mode, d: d, threshold: threshold, measure: m, seg: seg}
 	if mode == Correlated {
 		ix.alpha = param
 	}
@@ -240,7 +292,8 @@ func (ix *Index) Candidates(q bitvec.Vector) []int32 { return ix.seg.Candidates(
 
 // PredictedQueryRho returns the theory's exponent for this index and a
 // given query (adversarial mode: Theorem 2's ρ(q); correlated mode:
-// Theorem 1's ρ, which is query-independent).
+// Theorem 1's ρ, which is query-independent). FixedDepth mode has no
+// distribution to predict from, and returns an error.
 func (ix *Index) PredictedQueryRho(q bitvec.Vector) (float64, error) {
 	switch ix.mode {
 	case Adversarial:
@@ -256,6 +309,6 @@ func (ix *Index) PredictedQueryRho(q bitvec.Vector) (float64, error) {
 	case Correlated:
 		return rho.CorrelatedRho(rho.FromProbs(ix.d.Probs()), ix.alpha)
 	default:
-		return 0, fmt.Errorf("core: unknown mode %v", ix.mode)
+		return 0, fmt.Errorf("core: no predicted exponent in mode %v", ix.mode)
 	}
 }

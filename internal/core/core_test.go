@@ -12,7 +12,7 @@ import (
 )
 
 func TestModeString(t *testing.T) {
-	if Adversarial.String() != "adversarial" || Correlated.String() != "correlated" {
+	if Adversarial.String() != "adversarial" || Correlated.String() != "correlated" || FixedDepth.String() != "fixed-depth" {
 		t.Error("mode names wrong")
 	}
 	if Mode(9).String() == "" {

@@ -14,11 +14,12 @@ import (
 // SkewSearch structure: mode-specific threshold function, the paper's
 // product stopping rule for dataset size n, and one seed per repetition
 // derived from opt.Seed. It is the single source of engine configuration
-// — buildReps consumes it for the static index, and the serving layer
+// — the static build consumes it, and the serving layer
 // (internal/segment, internal/server) consumes it to run the same
 // scheme over mutable segmented indexes with identical filter mappings.
 //
 // param is b1 in Adversarial mode and α in Correlated mode, in (0, 1].
+// FixedDepth (Chosen Path) is built by BuildChosenPath only.
 // n is the dataset size the stopping rule and default repetition count
 // are tuned for; for online serving pass the expected steady-state size.
 func EngineParams(mode Mode, d *dist.Product, n int, param float64, opt Options) ([]lsf.Params, error) {
@@ -38,8 +39,21 @@ func EngineParams(mode Mode, d *dist.Product, n int, param float64, opt Options)
 	case Correlated:
 		threshold = correlatedThreshold(d, n, param)
 	default:
-		return nil, fmt.Errorf("core: unknown mode %v", mode)
+		return nil, fmt.Errorf("core: EngineParams does not build mode %v", mode)
 	}
+	return repParams(n, opt, lsf.Params{
+		Probs:               d.Probs(),
+		Threshold:           threshold,
+		Stop:                lsf.ProductStopRule(n),
+		MaxDepth:            opt.MaxDepth,
+		MaxFiltersPerVector: opt.MaxFiltersPerVector,
+	})
+}
+
+// repParams repeats p once per repetition, each copy with its own seed
+// drawn in order from SplitMix64(opt.Seed). The repetition count is
+// opt.Repetitions, by default ceil(log2 n) + 1.
+func repParams(n int, opt Options, p lsf.Params) ([]lsf.Params, error) {
 	reps := opt.Repetitions
 	if reps == 0 {
 		reps = int(math.Ceil(math.Log2(float64(n)))) + 1
@@ -50,25 +64,18 @@ func EngineParams(mode Mode, d *dist.Product, n int, param float64, opt Options)
 	seeds := hashing.NewSplitMix64(opt.Seed)
 	params := make([]lsf.Params, reps)
 	for r := range params {
-		params[r] = lsf.Params{
-			Seed:                seeds.Next(),
-			Probs:               d.Probs(),
-			Threshold:           threshold,
-			Stop:                lsf.ProductStopRule(n),
-			MaxDepth:            opt.MaxDepth,
-			MaxFiltersPerVector: opt.MaxFiltersPerVector,
-			Weigher:             opt.Weigher,
-		}
+		params[r] = p
+		params[r].Seed = seeds.Next()
 	}
 	return params, nil
 }
 
 // VerificationThreshold returns the candidate-verification threshold the
-// mode implies: b1 itself in Adversarial mode, α/1.3 (Lemma 10) in
-// Correlated mode.
+// mode implies: b1 itself in Adversarial and FixedDepth mode, α/1.3
+// (Lemma 10) in Correlated mode.
 func VerificationThreshold(mode Mode, param float64) (float64, error) {
 	switch mode {
-	case Adversarial:
+	case Adversarial, FixedDepth:
 		return param, nil
 	case Correlated:
 		return param / 1.3, nil

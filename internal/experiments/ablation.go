@@ -72,7 +72,7 @@ func Ablation(cfg AblationConfig) (*Table, error) {
 	}
 	// Fixed depth matched to Chosen Path's choice for this b2.
 	b2 := d.ExpectedBraunBlanquet()
-	k := int(math.Ceil(math.Log(float64(cfg.N)) / math.Log(1/b2)))
+	k := core.PathLength(cfg.N, b2)
 	for _, variant := range []struct {
 		name string
 		stop lsf.StopRule

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"skewsim/internal/bruteforce"
-	"skewsim/internal/chosenpath"
 	"skewsim/internal/core"
 	"skewsim/internal/datagen"
 	"skewsim/internal/dist"
@@ -91,7 +90,7 @@ func Scaling(cfg ScalingConfig) (*Table, error) {
 			return nil, fmt.Errorf("experiments: scaling n=%d: %w", n, err)
 		}
 		b2 := d.ExpectedBraunBlanquet()
-		cp, err := chosenpath.Build(w.Data, cfg.B1, b2, chosenpath.Options{
+		cp, err := core.BuildChosenPath(w.Data, cfg.B1, b2, core.Options{
 			Seed: cfg.Seed + 2000, Repetitions: cfg.Repetitions,
 		})
 		if err != nil {

@@ -9,15 +9,13 @@ package join
 import (
 	"cmp"
 	"errors"
-	"runtime"
 	"slices"
-	"sync"
 
 	"skewsim/internal/bitvec"
 )
 
 // CandidateSource is the minimal interface the driver needs from an
-// index: candidate generation plus access to the indexed data. All four
+// index: candidate generation plus access to the indexed data. All three
 // index types in this library implement it.
 type CandidateSource interface {
 	Candidates(q bitvec.Vector) []int32
@@ -70,68 +68,6 @@ func Run(index CandidateSource, r []bitvec.Vector, threshold float64, m bitvec.M
 				pairs = append(pairs, Pair{RIdx: ri, SIdx: int(id), Similarity: s})
 			}
 		}
-	}
-	sortPairs(pairs)
-	st.Pairs = len(pairs)
-	return pairs, st, nil
-}
-
-// RunParallel is Run with queries fanned out over `workers` goroutines
-// (<= 0 selects GOMAXPROCS). All four index types answer read-only
-// queries, so sharing the index is safe — each worker draws its own
-// pooled visited set from the allocation-light candidate pipeline — and
-// both candidate generation and verification run inside the workers,
-// streaming pairs without materializing candidate lists. Results are
-// identical to Run (same pairs, same sort order). Stats candidates are
-// summed across workers.
-func RunParallel(index CandidateSource, r []bitvec.Vector, threshold float64, m bitvec.Measure, workers int) ([]Pair, Stats, error) {
-	if index == nil {
-		return nil, Stats{}, errors.New("join: nil index")
-	}
-	if threshold < 0 || threshold > 1 {
-		return nil, Stats{}, errors.New("join: threshold outside [0, 1]")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(r) {
-		workers = len(r)
-	}
-	if workers <= 1 {
-		return Run(index, r, threshold, m)
-	}
-	data := index.Data()
-	perWorker := make([][]Pair, workers)
-	candCounts := make([]int, workers)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		for ri := range r {
-			next <- ri
-		}
-		close(next)
-	}()
-	for wID := 0; wID < workers; wID++ {
-		wg.Add(1)
-		go func(wID int) {
-			defer wg.Done()
-			for ri := range next {
-				q := r[ri]
-				for _, id := range index.Candidates(q) {
-					candCounts[wID]++
-					if s := m.Similarity(q, data[id]); s >= threshold {
-						perWorker[wID] = append(perWorker[wID], Pair{RIdx: ri, SIdx: int(id), Similarity: s})
-					}
-				}
-			}
-		}(wID)
-	}
-	wg.Wait()
-	var pairs []Pair
-	st := Stats{Queries: len(r)}
-	for wID := range perWorker {
-		pairs = append(pairs, perWorker[wID]...)
-		st.Candidates += candCounts[wID]
 	}
 	sortPairs(pairs)
 	st.Pairs = len(pairs)

@@ -181,82 +181,3 @@ func TestSelfJoinOnSkewedData(t *testing.T) {
 		t.Errorf("planted duplicates not all found: %+v", pairs)
 	}
 }
-
-func TestRunParallelMatchesSerial(t *testing.T) {
-	probs := dist.Zipf(500, 1, 0.4)
-	d := dist.MustProduct(probs)
-	rng := hashing.NewSplitMix64(29)
-	s := d.SampleN(rng, 200)
-	r := d.SampleN(rng, 60)
-	pfx, err := prefix.Build(s, probs, 0.5, prefix.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, stSerial, err := Run(pfx, r, 0.5, bitvec.BraunBlanquetMeasure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8, 0} {
-		par, stPar, err := RunParallel(pfx, r, 0.5, bitvec.BraunBlanquetMeasure, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d pairs vs %d serial", workers, len(par), len(serial))
-		}
-		for i := range serial {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d: pair %d differs", workers, i)
-			}
-		}
-		if stPar.Candidates != stSerial.Candidates || stPar.Pairs != stSerial.Pairs {
-			t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, stPar, stSerial)
-		}
-	}
-}
-
-// TestRunParallelClampsTinyBatches: a worker bound far above |R| must
-// degrade to the serial path (RunParallel clamps workers to len(r)),
-// producing identical pairs with no idle goroutines.
-func TestRunParallelClampsTinyBatches(t *testing.T) {
-	probs := dist.Zipf(500, 1, 0.4)
-	d := dist.MustProduct(probs)
-	rng := hashing.NewSplitMix64(31)
-	s := d.SampleN(rng, 100)
-	r := d.SampleN(rng, 2)
-	pfx, err := prefix.Build(s, probs, 0.5, prefix.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, stSerial, err := Run(pfx, r, 0.5, bitvec.BraunBlanquetMeasure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, stPar, err := RunParallel(pfx, r, 0.5, bitvec.BraunBlanquetMeasure, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(serial) || stPar != stSerial {
-		t.Fatalf("workers=1024 over %d queries diverged: %d vs %d pairs", len(r), len(par), len(serial))
-	}
-	for i := range serial {
-		if par[i] != serial[i] {
-			t.Fatalf("pair %d differs", i)
-		}
-	}
-}
-
-func TestRunParallelValidation(t *testing.T) {
-	if _, _, err := RunParallel(nil, nil, 0.5, bitvec.BraunBlanquetMeasure, 2); err == nil {
-		t.Error("nil index should fail")
-	}
-	bf, _ := bruteforce.Build([]bitvec.Vector{bitvec.New(1)}, bruteforce.Options{})
-	if _, _, err := RunParallel(bf, nil, -1, bitvec.BraunBlanquetMeasure, 2); err == nil {
-		t.Error("bad threshold should fail")
-	}
-	// Empty query set is fine.
-	pairs, st, err := RunParallel(bf, nil, 0.5, bitvec.BraunBlanquetMeasure, 4)
-	if err != nil || len(pairs) != 0 || st.Pairs != 0 {
-		t.Errorf("empty R: %v %v %v", pairs, st, err)
-	}
-}

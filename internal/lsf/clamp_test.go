@@ -8,9 +8,8 @@ import (
 )
 
 // TestForEachParallelClampsWorkers pins the worker clamp every batch
-// entry point (core.QueryParallel, lsf.QueryParallel, the shard router)
-// relies on: a bound far above n
-// must not spawn idle goroutines. The observable is the process
+// entry point (core.QueryParallel, the shard router) relies on: a bound
+// far above n must not spawn idle goroutines. The observable is the process
 // goroutine count sampled while all n tasks are parked inside fn. The
 // check is one-sided: a correct clamp always passes, while a lost
 // clamp is caught when any of the 61 excess workers are still alive at

@@ -2,12 +2,13 @@
 // §3 of the paper: a randomized mapping F(x) of vectors to sets of
 // "chosen paths", with a pluggable threshold function s(x, j, i) and the
 // paper's distribution-dependent stopping rule, plus an inverted filter
-// index for preprocessing and query answering.
+// index: the frozen key table that internal/segment probes, with a
+// one-repetition query loop of its own (Query, QueryBest, CandidateIDs).
 //
-// The engine is shared by the paper's SkewSearch data structure
-// (internal/core) and the Chosen Path baseline (internal/chosenpath):
-// they differ only in the threshold function and stopping rule they plug
-// in, which is exactly the paper's framing of its contribution.
+// The engine is shared by the paper's SkewSearch schemes and the Chosen
+// Path baseline, all three built by internal/core: they differ only in
+// the threshold function and stopping rule they plug in, which is
+// exactly the paper's framing of its contribution.
 package lsf
 
 import (
@@ -67,25 +68,18 @@ type Params struct {
 	// are alive or complete. Guards against adversarial corner cases the
 	// expected-case analysis does not cover. Defaults to 1 << 18.
 	MaxFiltersPerVector int
-	// Weigher customizes how path information content accumulates toward
-	// the stopping rule. nil uses the paper's independent-coordinates
-	// rule Π p_i ≤ 1/n; see ClusterWeigher for the §9 correlation-aware
-	// extension.
-	Weigher PathWeigher
 }
 
 // Engine computes filter sets F(x).
 type Engine struct {
 	hasher     *hashing.PathHasher
-	probs      []float64
 	threshold  ThresholdFunc
 	stop       StopRule
-	weigher    PathWeigher
 	maxDepth   int
 	maxFilters int
-	// logInv caches -log(p_i) per element for the default independent
-	// weigher (nil for custom weighers, whose increments can depend on
-	// the path). Filter generation evaluates this once per candidate
+	// logInv caches -log(p_i) per element: a path's information content
+	// Σ log(1/p_i), which the stopping rule reads, assumes independent
+	// coordinates. Filter generation evaluates this once per candidate
 	// extension, so the table turns a math.Log per call into a load.
 	logInv []float64
 	// scratch recycles the frontier stacks of FiltersInto so steady-state
@@ -134,25 +128,18 @@ func NewEngine(n int, p Params) (*Engine, error) {
 	if maxFilters < 1 {
 		return nil, fmt.Errorf("lsf: MaxFiltersPerVector %d must be >= 1", maxFilters)
 	}
-	weigher := p.Weigher
-	var logInv []float64
-	if weigher == nil {
-		weigher = independentWeigher{probs: p.Probs}
-		logInv = make([]float64, len(p.Probs))
-		for i, pv := range p.Probs {
-			if pv <= 0 {
-				logInv[i] = math.Inf(1)
-			} else {
-				logInv[i] = -math.Log(pv)
-			}
+	logInv := make([]float64, len(p.Probs))
+	for i, pv := range p.Probs {
+		if pv <= 0 {
+			logInv[i] = math.Inf(1)
+		} else {
+			logInv[i] = -math.Log(pv)
 		}
 	}
 	return &Engine{
 		hasher:     hashing.NewPathHasher(p.Seed, maxDepth),
-		probs:      p.Probs,
 		threshold:  p.Threshold,
 		stop:       p.Stop,
-		weigher:    weigher,
 		logInv:     logInv,
 		maxDepth:   maxDepth,
 		maxFilters: maxFilters,
@@ -317,15 +304,9 @@ func (e *Engine) FiltersIntoCancel(x bitvec.Vector, fs *FilterSet, cc *CancelChe
 				if containsElem(elems, i) {
 					continue // sampling without replacement
 				}
-				var logInvP float64
-				if e.logInv != nil {
-					if int(i) < len(e.logInv) {
-						logInvP = plog + e.logInv[i]
-					} else {
-						logInvP = math.Inf(1)
-					}
-				} else {
-					logInvP = plog + e.weigher.LogInvP(elems, i)
+				logInvP := math.Inf(1) // outside Probs: p = 0
+				if int(i) < len(e.logInv) {
+					logInvP = plog + e.logInv[i]
 				}
 				if e.stop(logInvP, depth+1) {
 					off := uint32(len(fs.Elems))

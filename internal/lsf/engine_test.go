@@ -287,6 +287,28 @@ func TestFiltersZeroProbabilityElementCompletesImmediately(t *testing.T) {
 	}
 }
 
+// TestEngineLogInvMatchesProbs: the stopping rule's per-element
+// information content is log(1/p_i), infinite for p_i = 0.
+func TestEngineLogInvMatchesProbs(t *testing.T) {
+	e, err := NewEngine(10, Params{
+		Probs:     []float64{0.5, 0.25, 0},
+		Threshold: constThreshold(1),
+		Stop:      ProductStopRule(10),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.logInv) != 3 {
+		t.Fatalf("logInv has %d entries, want 3", len(e.logInv))
+	}
+	if math.Abs(e.logInv[0]-math.Ln2) > 1e-12 || math.Abs(e.logInv[1]-2*math.Ln2) > 1e-12 {
+		t.Errorf("logInv = %v, want [ln 2, 2 ln 2, +Inf]", e.logInv)
+	}
+	if !math.IsInf(e.logInv[2], 1) {
+		t.Error("zero probability should be infinitely rare")
+	}
+}
+
 func TestFiltersMaxDepthDiscardsIncomplete(t *testing.T) {
 	// With p=0.5 and n large, paths need many steps; a tiny MaxDepth
 	// means nothing completes.

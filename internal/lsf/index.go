@@ -220,9 +220,8 @@ type QueryStats struct {
 // Visited deduplicates candidate ids with an epoch-stamped array: reset
 // is O(1) (bump the epoch) instead of O(distinct) map clearing, and
 // membership is a single array load. The zero value is ready to use.
-// Exported so the layers above (SkewSearch repetitions, the baselines,
-// the split-search driver) share one dedup mechanism instead of
-// allocating a map per query.
+// Exported so the segment search shares one dedup mechanism with lsf's
+// own traversal instead of allocating a map per query.
 type Visited struct {
 	stamp []uint32
 	epoch uint32
@@ -260,7 +259,7 @@ func (v *Visited) FirstVisit(id int32) bool {
 // VisitedPool recycles Visited sets so concurrent queries each get their
 // own and steady-state queries allocate nothing for dedup. The zero
 // value is ready to use; every consumer of Visited in this codebase
-// (lsf, segment, the baselines) shares this one implementation.
+// (lsf, segment) shares this one implementation.
 type VisitedPool struct {
 	pool sync.Pool
 }
@@ -372,25 +371,11 @@ func (ix *Index) traverse(q bitvec.Vector, stats *QueryStats, sink func(id int32
 // filter order. It returns the grown refs slice plus the filter count
 // and truncation flag of the generation. Walking the returned refs
 // through RefIDs streams exactly the candidate occurrences, in exactly
-// the order, that ForEachCandidate would deliver — the batch executor
-// uses this to run filter generation and bucket resolution for many
-// queries back to back while keeping per-query results bit-identical to
-// the single-query path.
+// the order, that the traversal behind CandidateIDs delivers.
 func (ix *Index) AppendFilterRefs(q bitvec.Vector, fs *FilterSet, refs []PostingRef) (_ []PostingRef, filters int, truncated bool) {
 	fs.Reset()
 	ix.engine.FiltersInto(q, fs)
 	return ix.resolveRefs(refs, fs, 0, fs.Len()), fs.Len(), fs.Truncated
-}
-
-// ForEachCandidate streams the distinct data ids sharing at least one
-// filter with q into sink, in first-encounter order, until sink returns
-// false. It is the exported form of the traversal core, letting the
-// Chosen Path baseline consume candidates without materializing
-// per-repetition slices.
-func (ix *Index) ForEachCandidate(q bitvec.Vector, sink func(id int32) bool) QueryStats {
-	var stats QueryStats
-	ix.traverse(q, &stats, sink)
-	return stats
 }
 
 // UsePacked attaches a word-packed form of the index's data, aligned
@@ -401,9 +386,6 @@ func (ix *Index) ForEachCandidate(q bitvec.Vector, sink func(id int32) bool) Que
 // Results are bit-identical with or without it.
 func (ix *Index) UsePacked(ps *bitvec.PackedSet) { ix.packed = ps }
 
-// Packed returns the attached packed dataset, or nil.
-func (ix *Index) Packed() *bitvec.PackedSet { return ix.packed }
-
 // Query returns the first indexed vector with measure-similarity at least
 // threshold among the candidates sharing a filter with q, following the
 // paper's query procedure. found reports whether any candidate passed.
@@ -413,8 +395,8 @@ func (ix *Index) Packed() *bitvec.PackedSet { return ix.packed }
 func (ix *Index) Query(q bitvec.Vector, threshold float64, m bitvec.Measure) (best int, sim float64, stats QueryStats, found bool) {
 	best, sim = -1, 0
 	if ix.packed == nil {
-		// No packed data (baseline instantiations like chosenpath):
-		// verify straight off the sorted slices, paying no session.
+		// No packed data (no UsePacked): verify straight off the
+		// sorted slices, paying no session.
 		ix.traverse(q, &stats, func(id int32) bool {
 			if s := m.Similarity(q, ix.data[id]); s >= threshold {
 				best, sim, found = int(id), s, true

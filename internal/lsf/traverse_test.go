@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"skewsim/internal/bitvec"
-	"skewsim/internal/dist"
-	"skewsim/internal/hashing"
 )
 
 // referenceStats recomputes one query's stats the way the pre-refactor
@@ -44,50 +42,6 @@ func TestTraversalStatsMatchReference(t *testing.T) {
 		if got2 != want || len(ids) != want.Distinct {
 			t.Fatalf("CandidateIDs stats %+v (%d ids), want %+v", got2, len(ids), want)
 		}
-	}
-}
-
-func TestBatchQueryMatchesSequential(t *testing.T) {
-	ix, data := buildTestIndex(t, 32)
-	queries := data[:60]
-	batch := ix.BatchQuery(queries, 0.6, bitvec.BraunBlanquetMeasure)
-	if len(batch) != len(queries) {
-		t.Fatalf("got %d results for %d queries", len(batch), len(queries))
-	}
-	for k, q := range queries {
-		id, sim, st, found := ix.Query(q, 0.6, bitvec.BraunBlanquetMeasure)
-		r := batch[k]
-		if r.ID != id || r.Similarity != sim || r.Stats != st || r.Found != found {
-			t.Fatalf("query %d: batch %+v != sequential (%d, %v, %+v, %v)", k, r, id, sim, st, found)
-		}
-	}
-}
-
-func TestQueryParallelMatchesBatch(t *testing.T) {
-	ix, data := buildTestIndex(t, 33)
-	queries := data[:80]
-	want := ix.BatchQuery(queries, 0.5, bitvec.BraunBlanquetMeasure)
-	for _, workers := range []int{1, 2, 4, 16, 0} {
-		got := ix.QueryParallel(queries, 0.5, bitvec.BraunBlanquetMeasure, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("workers=%d query %d: %+v != %+v", workers, k, got[k], want[k])
-			}
-		}
-	}
-}
-
-func TestQueryParallelEmptyAndTinyBatches(t *testing.T) {
-	ix, data := buildTestIndex(t, 34)
-	if got := ix.QueryParallel(nil, 0.5, bitvec.BraunBlanquetMeasure, 4); len(got) != 0 {
-		t.Errorf("empty batch returned %d results", len(got))
-	}
-	got := ix.QueryParallel(data[:1], 0.5, bitvec.BraunBlanquetMeasure, 64)
-	if len(got) != 1 {
-		t.Fatalf("got %d results", len(got))
 	}
 }
 
@@ -186,47 +140,5 @@ func TestHashPathPrefixAndPermutationDistinct(t *testing.T) {
 			t.Fatalf("HashPath(%v) == HashPath(%v)", p, prev)
 		}
 		seen[h] = p
-	}
-}
-
-// TestBatchQueryAgainstCore ties the batch path to an end-to-end search:
-// planted self-queries must retrieve themselves identically whether asked
-// one at a time or in a parallel batch.
-func TestBatchQueryAgainstSelfRetrieval(t *testing.T) {
-	n := 300
-	d := dist.MustProduct(dist.Fig1Profile(200, 0.2))
-	rng := hashing.NewSplitMix64(77)
-	data := d.SampleN(rng, n)
-	e, err := NewEngine(n, Params{
-		Seed:  3,
-		Probs: d.Probs(),
-		Threshold: func(v bitvec.Vector, j int, i uint32) float64 {
-			denom := 0.7*float64(v.Len()) - float64(j)
-			if denom <= 1 {
-				return 1
-			}
-			return 1 / denom
-		},
-		Stop: ProductStopRule(n),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := BuildIndex(e, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := ix.QueryParallel(data, 1.0, bitvec.BraunBlanquetMeasure, 0)
-	for id, r := range res {
-		if r.Stats.Filters == 0 {
-			continue
-		}
-		if !r.Found {
-			t.Errorf("vector %d with %d filters not self-retrieved in batch", id, r.Stats.Filters)
-			continue
-		}
-		if !data[r.ID].Equal(data[id]) {
-			t.Errorf("vector %d retrieved non-identical %d", id, r.ID)
-		}
 	}
 }

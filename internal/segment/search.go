@@ -125,7 +125,7 @@ func (s *SegmentedIndex) Search(cc *lsf.CancelCheck, p *Plan, req Request) ([]Re
 // Candidates returns the distinct live candidate slots for q over all
 // repetitions and layers. Together with Data it satisfies
 // join.CandidateSource, keeping the join driver the integration seam:
-// a SegmentedIndex drops into join.Run/RunParallel over a quiescent
+// a SegmentedIndex drops into join.Run over a quiescent
 // index. The join driver captures Data() once up front, so concurrent
 // inserts during a join could yield candidate slots beyond that
 // snapshot — run joins with writes paused (queries are fine).

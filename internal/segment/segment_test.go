@@ -77,13 +77,13 @@ func (st *staticIndex) candidates(q bitvec.Vector) []int32 {
 	seen := make(map[int32]bool)
 	var out []int32
 	for _, rep := range st.reps {
-		rep.ForEachCandidate(q, func(id int32) bool {
+		ids, _ := rep.CandidateIDs(q)
+		for _, id := range ids {
 			if !seen[id] {
 				seen[id] = true
 				out = append(out, id)
 			}
-			return true
-		})
+		}
 	}
 	return out
 }

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: summary statistics, quantiles, histograms, and ordinary
+// harness needs: means, quantiles, histograms, and ordinary
 // least squares on log-log data for fitting empirical cost exponents
 // against the ρ values the theory predicts (§4, validated in the §7/§8
 // reproductions).
@@ -11,49 +11,6 @@ import (
 	"math"
 	"slices"
 )
-
-// Summary holds the usual moments of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Var    float64 // unbiased sample variance
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. It returns a zero Summary for an
-// empty sample.
-func Summarize(xs []float64) Summary {
-	n := len(xs)
-	if n == 0 {
-		return Summary{}
-	}
-	s := Summary{N: n, Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(n)
-	if n > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Var = ss / float64(n-1)
-		s.Std = math.Sqrt(s.Var)
-	}
-	s.Median = Quantile(xs, 0.5)
-	return s
-}
 
 // Quantile returns the q-th quantile (q in [0,1]) of xs using linear
 // interpolation between order statistics. It copies and sorts internally.
@@ -166,36 +123,4 @@ func Histogram(xs []float64, lo, hi float64, buckets int) []int {
 		counts[b]++
 	}
 	return counts
-}
-
-// GeometricSpace returns k integers spaced geometrically between lo and hi
-// (inclusive), deduplicated and sorted: the standard n-axis for scaling
-// experiments.
-func GeometricSpace(lo, hi, k int) []int {
-	if lo < 1 || hi < lo || k < 1 {
-		return nil
-	}
-	if k == 1 {
-		return []int{hi}
-	}
-	ratio := math.Pow(float64(hi)/float64(lo), 1/float64(k-1))
-	out := make([]int, 0, k)
-	seen := make(map[int]bool, k)
-	v := float64(lo)
-	for i := 0; i < k; i++ {
-		n := int(math.Round(v))
-		if n < lo {
-			n = lo
-		}
-		if n > hi {
-			n = hi
-		}
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-		v *= ratio
-	}
-	slices.Sort(out)
-	return out
 }

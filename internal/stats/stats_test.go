@@ -8,32 +8,6 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-func TestSummarizeBasic(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || !almostEqual(s.Mean, 2.5, 1e-12) {
-		t.Errorf("N=%d Mean=%v", s.N, s.Mean)
-	}
-	if !almostEqual(s.Var, 5.0/3, 1e-12) {
-		t.Errorf("Var=%v, want %v", s.Var, 5.0/3)
-	}
-	if s.Min != 1 || s.Max != 4 {
-		t.Errorf("Min=%v Max=%v", s.Min, s.Max)
-	}
-	if !almostEqual(s.Median, 2.5, 1e-12) {
-		t.Errorf("Median=%v", s.Median)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Error("empty summary should have N=0")
-	}
-	s := Summarize([]float64{7})
-	if s.N != 1 || s.Mean != 7 || s.Var != 0 || s.Median != 7 {
-		t.Errorf("single-element summary wrong: %+v", s)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	cases := []struct{ q, want float64 }{
@@ -180,37 +154,5 @@ func TestHistogramTotalCount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeometricSpace(t *testing.T) {
-	got := GeometricSpace(100, 1600, 5)
-	want := []int{100, 200, 400, 800, 1600}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestGeometricSpaceDegenerate(t *testing.T) {
-	if GeometricSpace(0, 10, 3) != nil {
-		t.Error("lo<1 should give nil")
-	}
-	if GeometricSpace(10, 5, 3) != nil {
-		t.Error("hi<lo should give nil")
-	}
-	if got := GeometricSpace(5, 100, 1); len(got) != 1 || got[0] != 100 {
-		t.Errorf("k=1: %v", got)
-	}
-	// Heavy duplication collapses.
-	got := GeometricSpace(2, 4, 10)
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("not strictly increasing: %v", got)
-		}
 	}
 }
